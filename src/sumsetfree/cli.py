@@ -112,15 +112,18 @@ def _parse_moduli(text: str) -> CyclicProduct:
 
 
 def _budget(flag_value, fallback: int) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get(BUDGET_ENV)
-    if env is not None:
+    value, what = flag_value, "budget"
+    if value is None:
+        env = os.environ.get(BUDGET_ENV)
+        if env is None:
+            return fallback
         try:
-            return int(env)
+            value, what = int(env), BUDGET_ENV
         except ValueError as exc:
             raise InvalidInputError(f"bad {BUDGET_ENV} value {env!r}") from exc
-    return fallback
+    if value < 0:
+        raise InvalidInputError(f"{what} must be non-negative, got {value}")
+    return value
 
 
 def _element_json(x):
@@ -694,24 +697,17 @@ def run(argv=None) -> int:
     try:
         payload, csv_spec = args.func(args)
         text = render_report(payload, args.format, csv_spec)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (
-        InvalidInputError,
-        InvalidSignatureError,
-        StructureError,
-        PreconditionError,
-    ) as exc:
+    except (InvalidInputError, InvalidSignatureError, StructureError,
+            PreconditionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
     return 0
 

@@ -20,8 +20,9 @@ UTF-8 text, one element per line, ambient declared first in a header::
 
 Interval elements are decimal integers; product elements comma-separated
 reduced residues ("1,3,2").  Remaining lines starting with '#' are
-comments.  Interval ambients normally carry {1, ..., n}; lo=0 extends the
-carrier down to zero for constructions that produce zero-based images.
+comments; a malformed line is reported with its number.  Interval
+ambients normally carry {1, ..., n}; lo=0 extends the carrier down to zero
+for constructions that produce zero-based images.
 """
 
 from __future__ import annotations
@@ -240,26 +241,22 @@ def elem_sub(a: Element, b: Element, ambient: Ambient) -> Element:
 class GroundSet:
     """Immutable finite subset of an ambient, ordered by linearized index.
 
-    Membership is O(1) via a frozenset; a dense bitmask over linearized
-    indices is kept alongside (bit i set iff element_at(i) is present) so
-    that |elements| always equals the popcount of the mask.
+    Membership is O(1) via a frozenset.  The bitmask (bit i set iff
+    element_at(i) is present) is the detector's input, built in one pass
+    over a byte buffer in O(max index / 8 + |elements|) time.
     """
 
     __slots__ = ("ambient", "elements", "_members", "bitmask")
 
     def __init__(self, ambient: Ambient, elements: Iterable[Element] = ()):
-        members = set()
-        for x in elements:
-            if not ambient.contains(x):
-                raise StructureError(f"{x!r} outside carrier of {ambient.describe()}")
-            members.add(x)
+        index = {x: ambient.index(x) for x in elements}  # StructureError off the carrier
         object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "elements", tuple(sorted(members)))
-        object.__setattr__(self, "_members", frozenset(members))
-        mask = 0
-        for x in members:
-            mask |= 1 << ambient.index(x)
-        object.__setattr__(self, "bitmask", mask)
+        object.__setattr__(self, "elements", tuple(sorted(index)))
+        object.__setattr__(self, "_members", frozenset(index))
+        buf = bytearray(max(index.values(), default=0) // 8 + 1)
+        for i in index.values():
+            buf[i >> 3] |= 1 << (i & 7)
+        object.__setattr__(self, "bitmask", int.from_bytes(buf, "little"))
 
     def __setattr__(self, name, value):
         raise AttributeError("GroundSet is immutable")
@@ -301,52 +298,59 @@ class GroundSet:
         return "\n".join(lines) + "\n"
 
 
-def _parse_ambient_header(rest: str) -> Ambient:
+def _parse_int(token: str, lineno: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise StructureError(f"line {lineno}: {token!r} is not an integer") from None
+
+
+def _parse_ambient_header(rest: str, lineno: int) -> Ambient:
     parts = rest.split()
     if not parts:
-        raise StructureError("empty #ambient header")
+        raise StructureError(f"line {lineno}: empty #ambient header")
     kind, args = parts[0], parts[1:]
     if kind == "interval":
         n = None
         lo = 1
         for tok in args:
             if tok.startswith("n="):
-                n = int(tok[2:])
+                n = _parse_int(tok[2:], lineno)
             elif tok.startswith("lo="):
-                lo = int(tok[3:])
+                lo = _parse_int(tok[3:], lineno)
             else:
-                raise StructureError(f"unrecognized interval header token {tok!r}")
+                raise StructureError(f"line {lineno}: unrecognized interval header token {tok!r}")
         if n is None:
-            raise StructureError("interval header missing n=")
+            raise StructureError(f"line {lineno}: interval header missing n=")
         return IntegerInterval(n, lo)
     if kind == "product":
         if len(args) != 1:
-            raise StructureError("product header wants a single comma-separated modulus list")
-        return CyclicProduct(tuple(int(t) for t in args[0].split(",")))
-    raise StructureError(f"unknown ambient kind {kind!r}")
+            raise StructureError(f"line {lineno}: product header wants one modulus list")
+        return CyclicProduct(tuple(_parse_int(t, lineno) for t in args[0].split(",")))
+    raise StructureError(f"line {lineno}: unknown ambient kind {kind!r}")
 
 
 def parse_set_text(text: str) -> GroundSet:
     """Parse the set file format described in the module docstring."""
     ambient = None
     elements = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#ambient"):
             if ambient is not None:
-                raise StructureError("duplicate #ambient header")
-            ambient = _parse_ambient_header(line[len("#ambient"):].strip())
+                raise StructureError(f"line {lineno}: duplicate #ambient header")
+            ambient = _parse_ambient_header(line[len("#ambient"):].strip(), lineno)
             continue
         if line.startswith("#"):
             continue
         if ambient is None:
-            raise StructureError("element listed before #ambient header")
+            raise StructureError(f"line {lineno}: element listed before #ambient header")
         if isinstance(ambient, CyclicProduct):
-            elements.append(tuple(int(t) for t in line.split(",")))
+            elements.append(tuple(_parse_int(t, lineno) for t in line.split(",")))
         else:
-            elements.append(int(line))
+            elements.append(_parse_int(line, lineno))
     if ambient is None:
         raise StructureError("no #ambient header found")
     return GroundSet(ambient, elements)

@@ -1,25 +1,31 @@
 """Detection and enumeration of fixed-shape sumsets inside ground sets.
 
-The detector looks for L1 + ... + Lr inside A by recursion on the number
-of summands.  A sumset with first summand D = {0, d2, ..., d_l1} lies in
-A exactly when the remaining sumset L2 + ... + Lr lies in the
-intersection of the shifted copies A - d over d in D, so the search
-enumerates candidate shift sets D drawn from the difference set
-(A - A) \\ {0} and recurses on the intersection with the signature tail.
-For a single summand the question degenerates to |A| >= l1.
+A sumset L1 + ... + Lr with first summand D = {0, d2, ..., d_l1} lies in
+A exactly when L2 + ... + Lr lies in the intersection of the translates
+A - d over d in D.  The detector therefore draws D from the nonzero
+differences of A, intersects, and recurses on the signature tail; for a
+single summand the question is whether |A| >= l1.
 
-Candidate shifts are enumerated with d2 < ... < d_l1 in increasing
-linearized order and the first witness found is returned, so detection is
-deterministic.  For integer intervals only positive shifts are needed
-(the canonical first summand has minimum zero); in a product group every
-nonzero difference is a candidate.  Enumeration yields every canonical
-decomposition exactly once; distinct decompositions may share a value
-set, so counts of decompositions and of value sets are reported
-separately.
+Everything runs on bitsets.  An element is its linearized index and a set
+is a Python int with bit i set for the element at index i, starting from
+GroundSet.bitmask.  Translating an interval set is one shift; in a
+product group it is one masked shift pair per coordinate, one shift for
+the digits that do not wrap and one for those that do.  Intersection is
+AND, its size int.bit_count(), and the differences of A are the OR of the
+translates A - a over a in A.  Element tuples appear only in witnesses.
+
+Shifts d2 < ... < d_l1 are taken in increasing linearized order and the
+first witness found is returned, so detection is deterministic.  For
+integer intervals only positive shifts are needed (the canonical first
+summand has minimum zero); in a product group every nonzero difference
+is a candidate.  Enumeration yields every canonical decomposition exactly
+once; distinct decompositions may share a value set, so counts of
+decompositions and of value sets are reported separately.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -52,61 +58,98 @@ def _min_value_count(lengths: tuple[int, ...], ambient: Ambient) -> int:
     return max(lengths)
 
 
-def _positive_diffs(elems: tuple, ambient: Ambient) -> list:
-    """Candidate shifts for a canonical first summand, sorted ascending."""
-    if isinstance(ambient, IntegerInterval):
-        out = {b - a for a, b in itertools.combinations(elems, 2)}
-        return sorted(out)
-    zero = ambient.zero
-    out = set()
-    for a, b in itertools.combinations(elems, 2):
-        out.add(elem_sub(b, a, ambient))
-        out.add(elem_sub(a, b, ambient))
-    out.discard(zero)
-    return sorted(out)
+def _indices(mask: int) -> list[int]:
+    """Positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
-def _search(elems: frozenset, lengths: tuple[int, ...], ambient: Ambient):
-    """First canonical decomposition inside elems, or None."""
-    if len(elems) < _min_value_count(lengths, ambient):
-        return None
-    ordered = tuple(sorted(elems))
-    if len(lengths) == 1:
-        chosen = ordered[: lengths[0]]
-        base = chosen[0]
-        return base, [tuple(elem_sub(x, base, ambient) for x in chosen)]
-    l1 = lengths[0]
-    tail = lengths[1:]
-    needed = _min_value_count(tail, ambient)
-    cands = _positive_diffs(ordered, ambient)
-    if len(cands) < l1 - 1:
-        return None
-    for combo in itertools.combinations(cands, l1 - 1):
-        inter = _restrict(elems, combo, ambient, needed)
-        if inter is None:
-            continue
-        inner = _search(inter, tail, ambient)
-        if inner is not None:
-            offset, summands = inner
-            first = (ambient.zero,) + combo
-            return offset, [tuple(sorted(first))] + summands
-    return None
+class _Bitsets:
+    """Shifts and differences of index bitsets over one ambient.  A shift d
+    is the index of a group element, or any integer offset in an interval."""
+
+    def __init__(self, ambient: Ambient):
+        self.ambient = ambient
+        self.digits = None  # per coordinate, last first: stride, modulus, masks
+        if isinstance(ambient, IntegerInterval):
+            return
+        self.digits = []
+        full = (1 << ambient.cardinality) - 1
+        stride = 1
+        for m in reversed(ambient.moduli):
+            period = m * stride
+            ones = full // ((1 << period) - 1)  # bit 0 of every period
+            # high[dj]: the indices whose digit here is at least dj
+            high = [((1 << period) - (1 << dj * stride)) * ones for dj in range(m)]
+            self.digits.append((stride, m, high))
+            stride = period
+
+    def minus(self, mask: int, d: int) -> int:
+        """The set {i : i + d in mask}."""
+        if self.digits is None:
+            return mask >> d if d >= 0 else mask << -d
+        for stride, m, high in self.digits:
+            dj = d // stride % m
+            if dj:
+                up = mask & high[dj]
+                mask = (up >> dj * stride) | ((mask ^ up) << (m - dj) * stride)
+        return mask
+
+    def diff(self, a: int, b: int) -> int:
+        """The shift from index a to index b."""
+        if self.digits is None:
+            return b - a
+        return sum((b // stride - a // stride) % m * stride for stride, m, _ in self.digits)
+
+    def differences(self, mask: int) -> int:
+        """Nonzero differences within mask; only positive ones for intervals."""
+        out = 0
+        for i in _indices(mask):
+            out |= self.minus(mask, i)
+        return out & ~1
+
+    def meets(self, mask: int, shifts: list[int], k: int, needed: int):
+        """Yield (combo, mask & (mask - d) over d in combo) for the k-subsets
+        combo of shifts, in order, whose intersection keeps needed elements."""
+        for combo in itertools.combinations(shifts, k):
+            inter = mask
+            for d in combo:
+                inter &= self.minus(mask, d)
+                if inter.bit_count() < needed:
+                    break
+            else:
+                yield combo, inter
 
 
-def _restrict(elems: frozenset, shifts, ambient: Ambient, needed: int):
-    """Intersection of A - d over d in shifts (and d = 0), pruned by size."""
-    inter = elems
-    if isinstance(ambient, IntegerInterval):
-        for d in shifts:
-            inter = {a for a in inter if a + d in elems}
-            if len(inter) < needed:
-                return None
-    else:
-        for d in shifts:
-            inter = {a for a in inter if elem_add(a, d, ambient) in elems}
-            if len(inter) < needed:
-                return None
-    return frozenset(inter)
+# one per ambient: the product masks are built once, not per call
+_bitsets = functools.lru_cache(maxsize=8)(_Bitsets)
+
+
+def _decompositions(bits: _Bitsets, mask: int, lengths: tuple[int, ...], summands=()):
+    """Yield (offset index, shift tuples) of each canonical decomposition in mask."""
+    l, tail = lengths[0], lengths[1:]
+    if not tail:
+        for chosen in itertools.combinations(_indices(mask), l):
+            base = chosen[0]
+            yield base, summands + (tuple(bits.diff(base, x) for x in chosen),)
+        return
+    needed = _min_value_count(tail, bits.ambient)
+    for combo, inter in bits.meets(mask, _indices(bits.differences(mask)), l - 1, needed):
+        yield from _decompositions(bits, inter, tail, summands + ((0,) + combo,))
+
+
+def _witnesses(A: GroundSet, sig: Signature) -> Iterator[SumsetWitness]:
+    ambient = A.ambient
+    bits = _bitsets(ambient)
+    point = functools.cache(ambient.element_at)
+    shift = point if bits.digits else (lambda d: d)
+    for base, summands in _decompositions(bits, A.bitmask, sig.lengths):
+        summands = tuple(tuple(map(shift, L)) for L in summands)
+        yield SumsetWitness(ambient, point(base), summands)
 
 
 def contains_sumset(A: GroundSet, sig: Signature) -> Optional[SumsetWitness]:
@@ -117,11 +160,7 @@ def contains_sumset(A: GroundSet, sig: Signature) -> Optional[SumsetWitness]:
     singletons are free for every signature since each summand has at
     least two elements.
     """
-    found = _search(A.as_set(), sig.lengths, A.ambient)
-    if found is None:
-        return None
-    offset, summands = found
-    return SumsetWitness(A.ambient, offset, tuple(summands))
+    return next(_witnesses(A, sig), None)
 
 
 def enumerate_sumsets(
@@ -133,35 +172,12 @@ def enumerate_sumsets(
     shift order; distinct decompositions may describe the same value set.
     With limit set, raises BudgetExceededError past that many yields.
     """
-    count = 0
-    for offset, summands in _enumerate(A.as_set(), sig.lengths, A.ambient):
-        count += 1
+    for count, witness in enumerate(_witnesses(A, sig), start=1):
         if limit is not None and count > limit:
             raise BudgetExceededError(
                 f"decomposition enumeration exceeded limit of {limit}"
             )
-        yield SumsetWitness(A.ambient, offset, tuple(summands))
-
-
-def _enumerate(elems: frozenset, lengths: tuple[int, ...], ambient: Ambient):
-    if len(elems) < _min_value_count(lengths, ambient):
-        return
-    ordered = tuple(sorted(elems))
-    if len(lengths) == 1:
-        for chosen in itertools.combinations(ordered, lengths[0]):
-            base = chosen[0]
-            yield base, [tuple(elem_sub(x, base, ambient) for x in chosen)]
-        return
-    l1 = lengths[0]
-    tail = lengths[1:]
-    needed = _min_value_count(tail, ambient)
-    for combo in itertools.combinations(_positive_diffs(ordered, ambient), l1 - 1):
-        inter = _restrict(elems, combo, ambient, needed)
-        if inter is None:
-            continue
-        first = tuple(sorted((ambient.zero,) + combo))
-        for offset, summands in _enumerate(inter, tail, ambient):
-            yield offset, [first] + summands
+        yield witness
 
 
 def introduces_sumset(
@@ -174,35 +190,27 @@ def introduces_sumset(
     incremental paths (branch-and-bound, greedy sequences) where elements
     arrive in increasing linearized order.
     """
-    elems = frozenset(existing) | {candidate}
-    return _rooted(elems, candidate, sig.lengths, ambient)
+    root = ambient.index(candidate)
+    mask = 1 << root
+    for x in existing:
+        mask |= 1 << ambient.index(x)
+    return _rooted(_bitsets(ambient), mask, root, sig.lengths)
 
 
-def _rooted(elems: frozenset, root: Element, lengths: tuple[int, ...], ambient: Ambient) -> bool:
-    # Looking for D1, ..., Dr with 0 in each Di, |Di| = li, and
-    # root + D1 + ... + Dr inside elems.  Each nonzero d in any Di shows
-    # up in a sum root + d (zeros elsewhere), so candidates are restricted
-    # to (elems - root) \ {0}.
-    if not lengths:
-        return root in elems
-    l = lengths[0]
-    tail = lengths[1:]
-    if isinstance(ambient, IntegerInterval):
-        cands = sorted(a - root for a in elems if a != root)
-    else:
-        zero = ambient.zero
-        cands = sorted(
-            d for d in (elem_sub(a, root, ambient) for a in elems) if d != zero
-        )
-    if len(cands) < l - 1:
-        return False
-    for combo in itertools.combinations(cands, l - 1):
-        inter = _restrict(elems, combo, ambient, 1)
-        if inter is None or root not in inter:
-            continue
-        if _rooted(inter, root, tail, ambient):
-            return True
-    return False
+def _rooted(bits: _Bitsets, mask: int, root: int, lengths: tuple[int, ...]) -> bool:
+    # Looking for D1, ..., Dr with 0 in each Di, |Di| = li, and root +
+    # D1 + ... + Dr inside mask.  Each nonzero d in any Di is some a - root
+    # with a in mask (zeros elsewhere); root stays in every intersection,
+    # so the last summand only needs l_r elements left.
+    l, tail = lengths[0], lengths[1:]
+    if not tail:
+        return mask.bit_count() >= l
+    needed = _min_value_count(tail, bits.ambient)
+    shifts = [bits.diff(root, i) for i in _indices(mask) if i != root]
+    return any(
+        _rooted(bits, inter, root, tail)
+        for _, inter in bits.meets(mask, shifts, l - 1, needed)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -216,14 +224,9 @@ def is_sidon(A: GroundSet) -> bool:
     formulation also covers torsion (a 2-torsion pair {0, g} repeats the
     difference g and indeed contains {0, g} + {0, g}).
     """
-    ambient = A.ambient
-    seen = set()
-    for a, b in itertools.combinations(A.elements, 2):
-        for d in (elem_sub(b, a, ambient), elem_sub(a, b, ambient)):
-            if d in seen:
-                return False
-            seen.add(d)
-    return True
+    k = len(A)
+    pairs = k * (k - 1) // 2 if isinstance(A.ambient, IntegerInterval) else k * (k - 1)
+    return _bitsets(A.ambient).differences(A.bitmask).bit_count() == pairs
 
 
 def is_hilbert_cube_free(A: GroundSet, r: int) -> bool:
@@ -264,20 +267,16 @@ def has_cube_dim3_by_sum_system(A: GroundSet) -> bool:
     ambient = A.ambient
     elems = A.as_set()
     ordered = tuple(sorted(elems))
-    diffs = _positive_diffs(ordered, ambient)
+    interval = isinstance(ambient, IntegerInterval)
+    pairs = itertools.permutations(ordered, 2)
+    diffs = sorted({elem_sub(b, a, ambient) for a, b in pairs if b > a or not interval})
     add = lambda a, b: elem_add(a, b, ambient)
     for x in ordered:
         for d1, d2, d3 in itertools.combinations_with_replacement(diffs, 3):
-            pts = (
-                x,
-                add(x, d1),
-                add(x, d2),
-                add(add(x, d1), d2),
-                add(x, d3),
-                add(add(x, d1), d3),
-                add(add(x, d2), d3),
-                add(add(add(x, d1), d2), d3),
-            )
+            pts = [x]  # x + every sub-sum of (d1, d2, d3), d1 varying fastest
+            for d in (d1, d2, d3):
+                pts += [add(p, d) for p in pts]
+            pts = tuple(pts)
             if all(p in elems for p in pts) and cube3_sum_relations(pts, ambient):
                 return True
     return False

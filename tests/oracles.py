@@ -38,28 +38,49 @@ def interval_decompositions(elems, lengths):
     return out
 
 
-def cyclic_decompositions(n, elems, lengths):
-    """All canonical decompositions inside a subset of Z_n (1-coordinate).
+def cyclic_decompositions(moduli, elems, lengths):
+    """All canonical decompositions inside a subset of Z_m1 x ... x Z_mk.
 
-    Elements and shifts are plain residues; a canonical summand contains 0
-    and distinct nonzero residues sorted increasing.  The last summand is
-    additionally anchored: the offset is the smallest residue of the final
-    recursion level, so its shifts never wrap past n.  Earlier summands
-    range over every zero-containing shift set, rotations included, which
-    is the convention the package enumerates.
+    Elements and shifts are residue tuples added coordinatewise, and
+    tuples compare lexicographically, which is the linearized order.  A
+    canonical summand contains the zero tuple and distinct nonzero shifts
+    sorted increasing.  The last summand is additionally anchored: the
+    offset is the smallest point of the final recursion level, so its
+    shifts d list the points x + d after the offset x, in increasing order
+    of those points.  Earlier summands range over every zero-containing
+    shift set, rotations included, which is the convention the package
+    enumerates.
     """
+    group = list(itertools.product(*(range(m) for m in moduli)))
+    zero = group[0]
+
+    def add(a, b):
+        return tuple((u + v) % m for u, v, m in zip(a, b, moduli))
+
+    def sub(a, b):
+        return tuple((u - v) % m for u, v, m in zip(a, b, moduli))
+
     members = set(elems)
     out = []
     for x in sorted(members):
         pools = [
-            [(0,) + c for c in itertools.combinations(range(1, n), l - 1)]
+            [(zero,) + c for c in itertools.combinations(group[1:], l - 1)]
             for l in lengths[:-1]
         ]
+        later = [y for y in group if y > x]
         pools.append(
-            [(0,) + c for c in itertools.combinations(range(1, n - x), lengths[-1] - 1)]
+            [
+                (zero,) + tuple(sub(y, x) for y in c)
+                for c in itertools.combinations(later, lengths[-1] - 1)
+            ]
         )
         for combo in itertools.product(*pools):
-            values = {(x + sum(p)) % n for p in itertools.product(*combo)}
+            values = set()
+            for p in itertools.product(*combo):
+                v = x
+                for d in p:
+                    v = add(v, d)
+                values.add(v)
             if values <= members:
                 out.append((x, tuple(combo)))
     return out
@@ -79,10 +100,10 @@ def interval_forbidden_masks(n, lengths):
 def cyclic_forbidden_masks(n, lengths):
     """Bitmasks (bit i = residue i) of every forbidden value set in Z_n."""
     masks = set()
-    for x, combo in cyclic_decompositions(n, range(n), lengths):
+    for (x,), combo in cyclic_decompositions((n,), [(v,) for v in range(n)], lengths):
         mask = 0
         for p in itertools.product(*combo):
-            mask |= 1 << ((x + sum(p)) % n)
+            mask |= 1 << ((x + sum(d for (d,) in p)) % n)
         masks.add(mask)
     return masks
 

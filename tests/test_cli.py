@@ -372,3 +372,51 @@ def test_out_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["F"] == 4
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["#ambient interval n=9\nabc\n", "#ambient interval n=x\n", "#ambient product 4,x\n"],
+)
+def test_exit_code_on_non_integer_set_file(tmp_path, capsys, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    code, _, err = run_cli(capsys, "detect", "--set", str(path), "--sidon")
+    assert code == 2
+    assert err.startswith("error: line ")
+
+
+def test_exit_code_on_unwritable_out(tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "report.json"
+    code, out, err = run_cli(
+        capsys, "search", "--signature", "2,2", "--n", "8", "--out", str(target)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--signature", "2,2", "--n", "8", "--max-nodes", "-5"],
+        ["enumerate", "--signature", "2,2", "--n", "8", "--max-decompositions", "-1"],
+        ["construct", "random", "--n", "1000", "--signature", "2,2,2", "--seed", "0",
+         "--max-obstructions", "-1"],
+        ["hypergraph", "build", "--set", "SET", "--r", "3", "--max-combinations", "-1"],
+    ],
+)
+def test_exit_code_on_negative_budget(tmp_path, capsys, argv):
+    s = write_group_set(tmp_path / "g.txt", (3, 3), [(0, 0), (1, 2)])
+    argv = [s if a == "SET" else a for a in argv]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "non-negative" in err
+
+
+def test_negative_budget_env_variable(capsys, monkeypatch):
+    monkeypatch.setenv("LFREE_BUDGET", "-5")
+    code, _, err = run_cli(capsys, "search", "--signature", "2,2", "--n", "8")
+    assert code == 2
+    assert "LFREE_BUDGET" in err

@@ -157,6 +157,30 @@ def test_parse_set_text_errors():
         parse_set_text("#ambient interval n=9 hi=2\n1\n")
 
 
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        ("#ambient interval n=9\n1\nabc\n", 3),
+        ("#ambient interval n=x\n1\n", 1),
+        ("# comment\n#ambient interval n=9 lo=z\n", 2),
+        ("#ambient product 4,x\n1,1\n", 1),
+        ("#ambient product 4,4\n1,1\n\n2,y\n", 4),
+    ],
+)
+def test_parse_set_text_non_integer_values(text, lineno):
+    with pytest.raises(StructureError, match=f"^line {lineno}: "):
+        parse_set_text(text)
+
+
+def test_ground_set_bitmask_sparse_and_large():
+    iv = IntegerInterval(5 * 10**6)
+    elems = [1, 9, 4_999_999, 5 * 10**6]
+    gs = GroundSet(iv, elems)
+    assert gs.bitmask == sum(1 << (x - 1) for x in elems)
+    assert gs.bitmask.bit_count() == len(gs)
+    assert GroundSet(iv).bitmask == 0
+
+
 def test_witness_validation():
     iv = IntegerInterval(16)
     with pytest.raises(StructureError):

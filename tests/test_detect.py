@@ -111,19 +111,25 @@ def test_enumeration_matches_direct_loops_interval():
 
 
 def test_enumeration_matches_direct_loops_cyclic():
+    # one coordinate as (n,), then products whose translates wrap in
+    # several coordinates at once
     rng = random.Random(13)
-    for _ in range(30):
-        n = rng.randrange(3, 9)
-        cp = CyclicProduct((n,))
-        elems = [(x,) for x in range(n) if rng.random() < 0.6]
+
+    def cases():
+        for _ in range(30):
+            yield (rng.randrange(3, 9),)
+        yield from [(2, 3), (3, 3), (2, 2, 3)] * 8
+
+    for moduli in cases():
+        cp = CyclicProduct(moduli)
+        elems = [x for x in cp.elements() if rng.random() < 0.6]
         gs = GroundSet(cp, elems)
         for sig in (SIG22, SIG23):
-            got = {
-                (w.offset[0], tuple(tuple(d[0] for d in L) for L in w.summands))
-                for w in enumerate_sumsets(gs, sig)
-            }
-            want = set(cyclic_decompositions(n, [e[0] for e in elems], sig.lengths))
-            assert got == want, (n, elems, sig.lengths)
+            got = [(w.offset, w.summands) for w in enumerate_sumsets(gs, sig)]
+            assert len(got) == len(set(got))
+            got = set(got)
+            want = set(cyclic_decompositions(moduli, elems, sig.lengths))
+            assert got == want, (moduli, elems, sig.lengths)
 
 
 def test_equal_summand_pair_in_small_group():
