@@ -282,7 +282,7 @@ def _cmd_search(args):
     report = max_free_set(
         ambient,
         sig,
-        cardinality_budget=args.cardinality_budget,
+        cardinality_budget=_budget(args.cardinality_budget, None),
         allow_large=args.allow_large,
         max_nodes=_budget(args.max_nodes, None),
     )
@@ -313,6 +313,8 @@ def _cmd_bounds(args):
         return payload, ("row", ["r", "lhs", "rhs", "holds"])
     if args.n is None:
         raise InvalidInputError("bounds needs --n or --overlap")
+    if args.signature is None:
+        raise InvalidInputError("bounds needs --signature")
     sig = _parse_signature(args.signature)
     payload = {
         "n": args.n,
@@ -714,3 +716,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     raise SystemExit(run())
+
+
+if __name__ == "__main__":
+    main()

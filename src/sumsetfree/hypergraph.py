@@ -20,6 +20,7 @@ space-separated vertex indices.  Comment lines start with '#'.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -127,6 +128,24 @@ def _group_elements(group: CyclicProduct) -> list:
     return [group.element_at(i) for i in range(group.cardinality)]
 
 
+def _subset_sums(group: CyclicProduct, r: int, max_combinations: int):
+    """Each r-subset of distinct elements as (index tuple, sum), index
+    tuples in lexicographic order; r and the budget are checked first."""
+    if not isinstance(r, int) or r < 1:
+        raise InvalidInputError(f"uniformity must be positive, got {r!r}")
+    N = group.cardinality
+    if comb(N, r) > max_combinations:
+        raise BudgetExceededError(
+            f"{comb(N, r)} subsets exceed the combination budget {max_combinations}"
+        )
+    elements = _group_elements(group)
+    for combo in itertools.combinations(range(N), r):
+        total = elements[combo[0]]
+        for idx in combo[1:]:
+            total = elem_add(total, elements[idx], group)
+        yield combo, total
+
+
 def representation_counts(
     group: CyclicProduct,
     r: int,
@@ -136,21 +155,8 @@ def representation_counts(
     """Number of r-subsets of distinct group elements summing to each value."""
     if not isinstance(group, CyclicProduct):
         raise StructureError("representation counts expect a product group")
-    if not isinstance(r, int) or r < 1:
-        raise InvalidInputError(f"uniformity must be positive, got {r!r}")
-    N = group.cardinality
-    if comb(N, r) > max_combinations:
-        raise BudgetExceededError(
-            f"{comb(N, r)} subsets exceed the combination budget {max_combinations}"
-        )
-    elements = _group_elements(group)
-    counts = {el: 0 for el in elements}
-    for combo in itertools.combinations(elements, r):
-        total = combo[0]
-        for el in combo[1:]:
-            total = elem_add(total, el, group)
-        counts[total] += 1
-    return counts
+    counts = Counter(total for _, total in _subset_sums(group, r, max_combinations))
+    return {el: counts[el] for el in _group_elements(group)}
 
 
 def cayley_hypergraph(
@@ -166,22 +172,9 @@ def cayley_hypergraph(
         raise StructureError("sum hypergraphs are built over product groups")
     if A.ambient != group:
         raise StructureError("set and group ambient differ")
-    if not isinstance(r, int) or r < 1:
-        raise InvalidInputError(f"uniformity must be positive, got {r!r}")
-    N = group.cardinality
-    if comb(N, r) > max_combinations:
-        raise BudgetExceededError(
-            f"{comb(N, r)} subsets exceed the combination budget {max_combinations}"
-        )
-    elements = _group_elements(group)
-    edges = []
-    for combo in itertools.combinations(range(N), r):
-        total = elements[combo[0]]
-        for idx in combo[1:]:
-            total = elem_add(total, elements[idx], group)
-        if total in A:
-            edges.append(combo)
-    return Hypergraph(N, r, tuple(edges))
+    walk = _subset_sums(group, r, max_combinations)
+    edges = tuple(combo for combo, total in walk if total in A)
+    return Hypergraph(group.cardinality, r, edges)
 
 
 def best_translate(

@@ -151,6 +151,16 @@ def has_progression(values):
     return False
 
 
+def ternary_01_set(n):
+    """Elements x of 1..n such that x - 1 has only 0 and 1 as base-3 digits."""
+    rest = np.arange(n)
+    keep = np.ones(n, dtype=bool)
+    while rest.any():
+        keep &= rest % 3 != 2
+        rest //= 3
+    return tuple((np.flatnonzero(keep) + 1).tolist())
+
+
 def sidon_by_sums(values):
     """Classical integer test: all pairwise sums a + b, a <= b, distinct."""
     vals = sorted(set(values))

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sumsetfree
 from sumsetfree import (
     CyclicProduct,
     GroundSet,
@@ -333,6 +338,28 @@ def test_exit_code_on_missing_file(capsys):
     assert "error" in err
 
 
+def test_exit_code_on_bounds_without_signature(capsys):
+    code, out, err = run_cli(capsys, "bounds", "--n", "10")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "--signature" in err
+
+
+def test_module_entry_point_runs():
+    src = str(Path(sumsetfree.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "sumsetfree.cli", "search", "--n", "5",
+         "--signature", "2,2"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["F"] == 3
+    assert payload["signature"] == [2, 2]
+
+
 def test_exit_code_on_missing_seed(capsys):
     code, _, err = run_cli(
         capsys, "construct", "random", "--n", "100", "--signature", "2,2"
@@ -405,6 +432,7 @@ def test_exit_code_on_unwritable_out(tmp_path, capsys):
         ["construct", "random", "--n", "1000", "--signature", "2,2,2", "--seed", "0",
          "--max-obstructions", "-1"],
         ["hypergraph", "build", "--set", "SET", "--r", "3", "--max-combinations", "-1"],
+        ["search", "--signature", "2,2", "--n", "5", "--cardinality-budget", "-5"],
     ],
 )
 def test_exit_code_on_negative_budget(tmp_path, capsys, argv):

@@ -20,7 +20,7 @@ from sumsetfree import (
     zp3_construction,
 )
 
-from oracles import has_progression
+from oracles import has_progression, ternary_01_set
 
 SIG222 = Signature((2, 2, 2))
 
@@ -40,6 +40,12 @@ def test_progression_free_block_never_has_ap3():
 def test_progression_free_block_sizes_at_powers():
     assert len(behrend_set(10**4).elements) == 512
     assert len(behrend_set(4096).elements) == 256
+
+
+def test_progression_free_block_matches_ternary_digit_oracle():
+    around_powers = [3**k + e for k in range(1, 13) for e in (-1, 0, 1)]
+    for n in [*range(1, 3001), *around_powers, 10**4]:
+        assert behrend_set(n).elements == ternary_01_set(n), n
 
 
 def test_deletion_seed_zero_report():
