@@ -13,6 +13,8 @@ product group it is one masked shift pair per coordinate, one shift for
 the digits that do not wrap and one for those that do.  Intersection is
 AND, its size int.bit_count(), and the differences of A are the OR of the
 translates A - a over a in A.  Element tuples appear only in witnesses.
+The branch-and-bound search and the greedy sequences keep their growing
+set as such a bitset too and call the rooted check (_rooted) on it.
 
 Shifts d2 < ... < d_l1 are taken in increasing linearized order and the
 first witness found is returned, so detection is deterministic.  For
@@ -186,9 +188,10 @@ def introduces_sumset(
     """Would adding candidate to an already-free set create a sumset?
 
     Only witnesses whose value set passes through candidate are searched,
-    which is exhaustive when the existing set is free.  Used by the
-    incremental paths (branch-and-bound, greedy sequences) where elements
-    arrive in increasing linearized order.
+    which is exhaustive when the existing set is free.  A one-shot check
+    for callers holding elements; the branch-and-bound search and the
+    greedy sequences carry their set's index bitset and call the rooted
+    check on it directly.
     """
     root = ambient.index(candidate)
     mask = 1 << root

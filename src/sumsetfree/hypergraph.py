@@ -124,10 +124,6 @@ def write_hypergraph_file(graph: Hypergraph, path) -> None:
 # construction from a group set
 
 
-def _group_elements(group: CyclicProduct) -> list:
-    return [group.element_at(i) for i in range(group.cardinality)]
-
-
 def _subset_sums(group: CyclicProduct, r: int, max_combinations: int):
     """Each r-subset of distinct elements as (index tuple, sum), index
     tuples in lexicographic order; r and the budget are checked first."""
@@ -138,7 +134,7 @@ def _subset_sums(group: CyclicProduct, r: int, max_combinations: int):
         raise BudgetExceededError(
             f"{comb(N, r)} subsets exceed the combination budget {max_combinations}"
         )
-    elements = _group_elements(group)
+    elements = list(group.elements())
     for combo in itertools.combinations(range(N), r):
         total = elements[combo[0]]
         for idx in combo[1:]:
@@ -156,7 +152,7 @@ def representation_counts(
     if not isinstance(group, CyclicProduct):
         raise StructureError("representation counts expect a product group")
     counts = Counter(total for _, total in _subset_sums(group, r, max_combinations))
-    return {el: counts[el] for el in _group_elements(group)}
+    return {el: counts[el] for el in group.elements()}
 
 
 def cayley_hypergraph(
@@ -195,7 +191,7 @@ def best_translate(
     N = group.cardinality
     best_x = None
     best_count = -1
-    for x in _group_elements(group):
+    for x in group.elements():
         score = sum(counts[elem_add(a, x, group)] for a in A)
         if score > best_count:
             best_x = x

@@ -7,7 +7,9 @@ contains it, and translation preserves freeness in both ambient kinds).
 A branch is cut when the chosen elements plus all remaining candidates
 cannot beat the incumbent, and a candidate is rejected when adding it to
 the (free) partial set would create a sumset through it, which is checked
-by the incremental detector rather than a full re-scan.
+by the detector's rooted search rather than a full re-scan.  The partial
+set goes down the recursion as the detector's index bitset; elements are
+made only for the witness.
 
 The closed-form evaluators cover the leading upper bound
 (l_r - 1)^(1/P') * n^(1 - 1/P') with P' the product of all summand sizes
@@ -39,7 +41,7 @@ from .core import (
     Signature,
     elem_add,
 )
-from .detect import contains_sumset, introduces_sumset
+from .detect import _bitsets, _indices, _rooted, contains_sumset
 
 DEFAULT_CARDINALITY_BUDGET = 64
 
@@ -101,37 +103,32 @@ def max_free_set(
             ambient, sig, k, witness, 0, time.perf_counter() - start, {}
         )
 
-    universe = [ambient.element_at(i) for i in range(N)]
-    chosen = [universe[0]]
-    best_size = 1
-    best_set = list(chosen)
+    bits = _bitsets(ambient)
+    best_size, best_mask = 1, 1
     nodes = 0
     pruned = {"cardinality": 0, "infeasible": 0}
 
-    def dfs(i: int) -> None:
-        nonlocal best_size, best_set, nodes
+    def dfs(i: int, mask: int, size: int) -> None:
+        nonlocal best_size, best_mask, nodes
         nodes += 1
         if max_nodes is not None and nodes > max_nodes:
             raise BudgetExceededError(f"search exceeded node budget {max_nodes}")
         if i == N:
             return
-        if len(chosen) + (N - i) <= best_size:
+        if size + (N - i) <= best_size:
             pruned["cardinality"] += 1
             return
-        x = universe[i]
-        if introduces_sumset(chosen, x, sig, ambient):
+        grown = mask | 1 << i
+        if _rooted(bits, grown, i, sig.lengths):
             pruned["infeasible"] += 1
         else:
-            chosen.append(x)
-            if len(chosen) > best_size:
-                best_size = len(chosen)
-                best_set = list(chosen)
-            dfs(i + 1)
-            chosen.pop()
-        dfs(i + 1)
+            if size + 1 > best_size:
+                best_size, best_mask = size + 1, grown
+            dfs(i + 1, grown, size + 1)
+        dfs(i + 1, mask, size)
 
-    dfs(1)
-    witness = GroundSet(ambient, best_set)
+    dfs(1, 1, 1)
+    witness = GroundSet(ambient, map(ambient.element_at, _indices(best_mask)))
     if contains_sumset(witness, sig) is not None:
         raise RuntimeError("internal error: reported witness is not free")
     return SearchReport(

@@ -2,8 +2,9 @@
 
 greedy_sequence scans 1, 2, 3, ... and keeps every integer that does not
 complete a forbidden sumset with the terms kept so far, using the
-incremental rooted detector.  For pair sums this reproduces the classical
-greedy non-repeating-difference sequence 1, 2, 4, 8, 13, 21, 31, 45, ...
+detector's rooted search on the kept terms' index bitset.  For pair sums
+this reproduces the classical greedy non-repeating-difference sequence
+1, 2, 4, 8, 13, 21, 31, 45, ...
 
 dyadic_random_sequence builds an infinite-sequence prefix block by block:
 block m covers [4^(m+2), 4^(m+2) + 4^m), carries a shifted copy of the
@@ -29,7 +30,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import log
+from math import inf, log
 
 from .core import (
     GroundSet,
@@ -37,10 +38,8 @@ from .core import (
     InvalidInputError,
     Signature,
 )
-from .construct import behrend_set
-from .detect import contains_sumset, enumerate_sumsets, introduces_sumset
-
-DEFAULT_OBSTRUCTION_BUDGET = 10**6
+from .construct import DEFAULT_OBSTRUCTION_BUDGET, behrend_set
+from .detect import _bitsets, _indices, _rooted, contains_sumset, enumerate_sumsets
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,9 +67,9 @@ def counting_function(prefix: SequencePrefix, x) -> int:
 
 
 def liminf_statistic(prefix: SequencePrefix, x) -> float:
-    """Normalized count A(x) (x ln x)^(1/P') / x at the point x > 1."""
-    if x <= 1:
-        raise InvalidInputError(f"statistic needs x > 1, got {x!r}")
+    """Normalized count A(x) (x ln x)^(1/P') / x at the finite point x > 1."""
+    if not 1 < x < inf:
+        raise InvalidInputError(f"statistic needs a finite x > 1, got {x!r}")
     pp = prefix.signature.prefix_product
     return counting_function(prefix, x) * (x * log(x)) ** (1.0 / pp) / x
 
@@ -80,11 +79,14 @@ def greedy_sequence(sig: Signature, limit: int) -> SequencePrefix:
     if not isinstance(limit, int) or limit < 1:
         raise InvalidInputError(f"limit must be a positive integer, got {limit!r}")
     ambient = IntegerInterval(limit)
-    terms: list[int] = []
-    for c in range(1, limit + 1):
-        if not introduces_sumset(terms, c, sig, ambient):
-            terms.append(c)
-    return SequencePrefix(sig, tuple(terms), f"greedy limit={limit}")
+    bits = _bitsets(ambient)
+    mask = 0
+    for i in range(limit):
+        grown = mask | 1 << i
+        if not _rooted(bits, grown, i, sig.lengths):
+            mask = grown
+    terms = tuple(map(ambient.element_at, _indices(mask)))
+    return SequencePrefix(sig, terms, f"greedy limit={limit}")
 
 
 # ---------------------------------------------------------------------------
@@ -102,21 +104,19 @@ class DyadicParams:
     alpha: float
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise InvalidInputError("epsilon must be positive")
+        if not 0 < self.epsilon < inf:
+            raise InvalidInputError("epsilon must be positive and finite")
         if not isinstance(self.m_min, int) or self.m_min < 1:
             raise InvalidInputError("m_min must be a positive integer")
         if not isinstance(self.m_max, int) or self.m_max < self.m_min:
             raise InvalidInputError("m_max must be an integer >= m_min")
-        if self.alpha <= 0:
-            raise InvalidInputError("alpha must be positive")
+        if not 0 < self.alpha < inf:
+            raise InvalidInputError("alpha must be positive and finite")
 
     @classmethod
     def for_signature(
         cls, sig: Signature, epsilon: float, m_min: int, m_max: int, seed: int
     ) -> "DyadicParams":
-        if epsilon <= 0:
-            raise InvalidInputError("epsilon must be positive")
         alpha = (sig.total - sig.r) / (sig.product - 1) + epsilon / 2.0
         return cls(epsilon, m_min, m_max, seed, alpha)
 
@@ -171,7 +171,9 @@ def dyadic_random_sequence(
     experimental in the report.  The same parameters always produce the
     same report, and the returned prefix is verified free.
     """
-    expected = (sig.total - sig.r) / (sig.product - 1) + params.epsilon / 2.0
+    expected = DyadicParams.for_signature(
+        sig, params.epsilon, params.m_min, params.m_max, params.seed
+    ).alpha
     if abs(params.alpha - expected) > 1e-12:
         raise InvalidInputError(
             "alpha does not match the signature; build params with for_signature"

@@ -443,6 +443,26 @@ def test_exit_code_on_negative_budget(tmp_path, capsys, argv):
     assert "non-negative" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sequence", "dyadic", "--signature", "2,2", "--epsilon", "nan", "--m-max", "3",
+         "--seed", "0"],
+        ["sequence", "dyadic", "--signature", "2,2", "--epsilon", "inf", "--m-max", "3",
+         "--seed", "0"],
+        ["sequence", "stats", "--signature", "2,2", "--set", "SET", "--x", "nan"],
+        ["sequence", "stats", "--signature", "2,2", "--set", "SET", "--x", "inf"],
+    ],
+)
+def test_exit_code_on_non_finite_float(tmp_path, capsys, argv):
+    s = write_interval_set(tmp_path / "s.txt", 45, [1, 2, 4, 8, 13, 21, 31, 45])
+    argv = [s if a == "SET" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 def test_negative_budget_env_variable(capsys, monkeypatch):
     monkeypatch.setenv("LFREE_BUDGET", "-5")
     code, _, err = run_cli(capsys, "search", "--signature", "2,2", "--n", "8")

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sumsetfree import (
     BudgetExceededError,
@@ -13,6 +14,7 @@ from sumsetfree import (
     PreconditionError,
     Signature,
     contains_sumset,
+    introduces_sumset,
     lower_bound_exponent,
     max_free_set,
     overlap_check,
@@ -70,6 +72,82 @@ def test_search_matches_superset_closure_table():
             want = exhaustive_max_free(interval_free_table(n, lengths))
             got = max_free_set(IntegerInterval(n), sig).best_size
             assert got == want, (n, lengths)
+
+
+def reference_search(ambient, sig):
+    """max_free_set's branch and bound on an element list, each node asking
+    the public introduces_sumset: (best size, witness, nodes, pruned_by)."""
+    N = ambient.cardinality
+    universe = [ambient.element_at(i) for i in range(N)]
+    chosen = [universe[0]]
+    best = list(chosen)
+    nodes = 0
+    pruned = {"cardinality": 0, "infeasible": 0}
+
+    def dfs(i):
+        nonlocal best, nodes
+        nodes += 1
+        if i == N:
+            return
+        if len(chosen) + (N - i) <= len(best):
+            pruned["cardinality"] += 1
+            return
+        if introduces_sumset(chosen, universe[i], sig, ambient):
+            pruned["infeasible"] += 1
+        else:
+            chosen.append(universe[i])
+            if len(chosen) > len(best):
+                best = list(chosen)
+            dfs(i + 1)
+            chosen.pop()
+        dfs(i + 1)
+
+    dfs(1)
+    return len(best), tuple(best), nodes, pruned
+
+
+def test_search_matches_element_list_reference():
+    cases = [
+        (IntegerInterval(n), Signature(lengths))
+        for lengths in ((2, 2), (2, 3), (2, 2, 2))
+        for n in range(1, 17)
+    ]
+    cases += [
+        (CyclicProduct(moduli), Signature((2, 2)))
+        for moduli in ((3, 3), (3, 4), (2, 2, 3))
+    ]
+    for ambient, sig in cases:
+        report = max_free_set(ambient, sig)
+        got = (
+            report.best_size,
+            report.witness.elements,
+            report.nodes_explored,
+            report.pruned_by,
+        )
+        assert got == reference_search(ambient, sig), (ambient, sig.lengths)
+
+
+SMALL_AMBIENTS = st.one_of(
+    st.builds(IntegerInterval, st.integers(1, 14)),
+    st.builds(
+        CyclicProduct,
+        st.sampled_from([(5,), (8,), (11,), (2, 4), (3, 3), (2, 2, 3), (3, 4)]),
+    ),
+)
+SMALL_SIGNATURES = st.sampled_from([(3,), (2, 2), (2, 3), (3, 3), (2, 2, 2)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(SMALL_AMBIENTS, SMALL_SIGNATURES)
+def test_search_witness_is_maximal(ambient, lengths):
+    # adding any excluded element to a maximum free set creates a sumset
+    sig = Signature(lengths)
+    witness = max_free_set(ambient, sig).witness
+    for i in range(ambient.cardinality):
+        x = ambient.element_at(i)
+        if x not in witness:
+            grown = GroundSet(ambient, witness.elements + (x,))
+            assert contains_sumset(grown, sig) is not None, (x, witness.elements)
 
 
 def test_report_dict_shape():

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sumsetfree import (
     DyadicParams,
@@ -13,6 +14,7 @@ from sumsetfree import (
     counting_function,
     dyadic_random_sequence,
     greedy_sequence,
+    introduces_sumset,
     liminf_statistic,
 )
 
@@ -37,6 +39,33 @@ def test_greedy_matches_difference_oracle():
 def test_greedy_other_signatures():
     assert greedy_sequence(SIG23, 8).terms == (1, 2, 3, 5, 8)
     assert greedy_sequence(Signature((3,)), 10).terms == (1, 2)
+
+
+def test_greedy_matches_introduces_sumset_loop():
+    for lengths in ((2, 3), (2, 2, 2), (3, 3)):
+        sig = Signature(lengths)
+        ambient = IntegerInterval(200)
+        terms = []
+        for c in range(1, 201):
+            if not introduces_sumset(terms, c, sig, ambient):
+                terms.append(c)
+        assert greedy_sequence(sig, 200).terms == tuple(terms), lengths
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([(3,), (2, 2), (2, 3), (3, 3), (2, 2, 2)]),
+    st.integers(1, 60),
+)
+def test_greedy_skips_only_integers_that_complete_a_sumset(lengths, limit):
+    sig = Signature(lengths)
+    terms = greedy_sequence(sig, limit).terms
+    ambient = IntegerInterval(limit)
+    for c in range(1, limit + 1):
+        if c not in terms:
+            below = [t for t in terms if t < c]
+            grown = GroundSet(ambient, below + [c])
+            assert contains_sumset(grown, sig) is not None, (c, below)
 
 
 def test_greedy_prefixes_are_free():
@@ -71,6 +100,9 @@ def test_liminf_statistic():
     assert got == pytest.approx(want)
     with pytest.raises(InvalidInputError):
         liminf_statistic(g, 1.0)
+    for x in (math.nan, math.inf):
+        with pytest.raises(InvalidInputError):
+            liminf_statistic(g, x)
 
 
 def test_dyadic_params():
@@ -82,6 +114,11 @@ def test_dyadic_params():
         DyadicParams(epsilon=0.1, m_min=1, m_max=0, seed=0, alpha=0.5)
     with pytest.raises(InvalidInputError):
         DyadicParams(epsilon=-1.0, m_min=1, m_max=3, seed=0, alpha=0.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidInputError):
+            DyadicParams.for_signature(SIG22, epsilon=bad, m_min=1, m_max=3, seed=0)
+        with pytest.raises(InvalidInputError):
+            DyadicParams(epsilon=0.1, m_min=1, m_max=3, seed=0, alpha=bad)
 
 
 def test_dyadic_rejects_mismatched_alpha():
