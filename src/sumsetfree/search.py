@@ -4,12 +4,24 @@ max_free_set runs a depth-first branch and bound over elements in
 increasing linearized order.  The first element of the carrier is fixed
 by translation symmetry (any nonempty free set translates to one that
 contains it, and translation preserves freeness in both ambient kinds).
-A branch is cut when the chosen elements plus all remaining candidates
-cannot beat the incumbent, and a candidate is rejected when adding it to
-the (free) partial set would create a sumset through it, which is checked
-by the detector's rooted search rather than a full re-scan.  The partial
-set goes down the recursion as the detector's index bitset; elements are
-made only for the witness.
+A branch is cut when the chosen elements plus the most that the remaining
+candidates can add cannot beat the incumbent, and a candidate is rejected
+when adding it to the (free) partial set would create a sumset through
+it, which is checked by the detector's rooted search rather than a full
+re-scan.  The partial set goes down the recursion as the detector's index
+bitset; elements are made only for the witness.
+
+In a group the k remaining candidates add at most k.  On an interval they
+form a translate of [1, k], so they add at most F(k), the maximum for
+that shorter interval (Russian doll search): the same DFS first fills a
+table of F(2), ..., F(N - 1), shortest first, each run pruned by the
+entries before it.  Since F(m) is F(m - 1) or F(m - 1) + 1, the run for
+m starts with incumbent F(m - 1) and stops at the first set one larger;
+the main run stops as soon as it reaches F(N - 1) + 1.  Every cut drops
+only branches that cannot strictly beat the incumbent, so the maximum and
+the witness (the first maximum in depth-first order) are those of the
+plain count bound.  The reported node count and the max_nodes budget
+cover the table's runs too.
 
 The closed-form evaluators cover the leading upper bound
 (l_r - 1)^(1/P') * n^(1 - 1/P') with P' the product of all summand sizes
@@ -35,6 +47,7 @@ from .core import (
     Ambient,
     BudgetExceededError,
     GroundSet,
+    IntegerInterval,
     InvalidInputError,
     InvalidSignatureError,
     PreconditionError,
@@ -83,7 +96,8 @@ def max_free_set(
     """Exact maximum size of a sumset-free subset, with a witness.
 
     The default budget refuses ambients with more than 64 elements;
-    allow_large overrides it.  max_nodes caps the explored node count and
+    allow_large overrides it.  max_nodes caps the explored node count,
+    which includes the runs that fill an interval's bound table, and
     raises BudgetExceededError when hit.  The search is deterministic:
     the witness is the first maximum found in depth-first order with the
     carrier's first element fixed.
@@ -104,30 +118,47 @@ def max_free_set(
         )
 
     bits = _bitsets(ambient)
-    best_size, best_mask = 1, 1
     nodes = 0
     pruned = {"cardinality": 0, "infeasible": 0}
+    # doll[k]: most elements a free set can take from k consecutive
+    # candidates; F(k) on intervals, k itself in a group
+    doll = list(range(N + 1))
 
-    def dfs(i: int, mask: int, size: int) -> None:
-        nonlocal best_size, best_mask, nodes
-        nodes += 1
-        if max_nodes is not None and nodes > max_nodes:
-            raise BudgetExceededError(f"search exceeded node budget {max_nodes}")
-        if i == N:
-            return
-        if size + (N - i) <= best_size:
-            pruned["cardinality"] += 1
-            return
-        grown = mask | 1 << i
-        if _rooted(bits, grown, i, sig.lengths):
-            pruned["infeasible"] += 1
-        else:
-            if size + 1 > best_size:
-                best_size, best_mask = size + 1, grown
-            dfs(i + 1, grown, size + 1)
-        dfs(i + 1, mask, size)
+    def solve(n: int, best_size: int, target: int) -> tuple[int, int]:
+        # First free subset of indices 0..n-1 holding index 0 that beats
+        # best_size, found depth first; stops once it reaches target.
+        best_mask = 1
 
-    dfs(1, 1, 1)
+        def dfs(i: int, mask: int, size: int) -> bool:
+            nonlocal best_size, best_mask, nodes
+            nodes += 1
+            if max_nodes is not None and nodes > max_nodes:
+                raise BudgetExceededError(f"search exceeded node budget {max_nodes}")
+            if i == n:
+                return False
+            if size + doll[n - i] <= best_size:
+                pruned["cardinality"] += 1
+                return False
+            grown = mask | 1 << i
+            if _rooted(bits, grown, i, sig.lengths):
+                pruned["infeasible"] += 1
+            else:
+                if size + 1 > best_size:
+                    best_size, best_mask = size + 1, grown
+                    if best_size == target:
+                        return True
+                if dfs(i + 1, grown, size + 1):
+                    return True
+            return dfs(i + 1, mask, size)
+
+        dfs(1, 1, 1)
+        return best_size, best_mask
+
+    if isinstance(ambient, IntegerInterval):
+        # F(m) is F(m - 1) or one more, so each run only asks which
+        for m in range(2, N):
+            doll[m] = solve(m, doll[m - 1], doll[m - 1] + 1)[0]
+    best_size, best_mask = solve(N, 1, doll[N - 1] + 1)
     witness = GroundSet(ambient, map(ambient.element_at, _indices(best_mask)))
     if contains_sumset(witness, sig) is not None:
         raise RuntimeError("internal error: reported witness is not free")

@@ -30,7 +30,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import inf, log
+from math import inf, isfinite, log
 
 from .core import (
     GroundSet,
@@ -71,7 +71,13 @@ def liminf_statistic(prefix: SequencePrefix, x) -> float:
     if not 1 < x < inf:
         raise InvalidInputError(f"statistic needs a finite x > 1, got {x!r}")
     pp = prefix.signature.prefix_product
-    return counting_function(prefix, x) * (x * log(x)) ** (1.0 / pp) / x
+    try:
+        stat = counting_function(prefix, x) * (x * log(x)) ** (1.0 / pp) / x
+    except OverflowError:  # an int x too large for a float
+        stat = inf
+    if not isfinite(stat):
+        raise InvalidInputError(f"statistic overflows a float at x = {x!r}")
+    return stat
 
 
 def greedy_sequence(sig: Signature, limit: int) -> SequencePrefix:

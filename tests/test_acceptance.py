@@ -252,3 +252,14 @@ def test_criterion_12_seeded_commands_are_reproducible(capsys):
             outputs.append(capsys.readouterr().out)
         assert len(set(outputs)) == 1, argv
         json.loads(outputs[0])
+
+
+def test_criterion_13_interval_search_work_is_frozen(capsys):
+    # A work guard that does not depend on machine speed: with the
+    # Russian-doll bound the n = 24 search explores 29 148 nodes, every
+    # run that fills the bound table included (the bare cardinality bound
+    # took 128 722).
+    assert run(["search", "--n", "24", "--signature", "2,2,2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["F"] == 12
+    assert report["nodes"] == 29148

@@ -74,7 +74,7 @@ def test_search_json_and_csv(capsys):
     assert cells[0] == "interval n=12"
     assert cells[1] == "2;2"
     assert cells[2] == "5"
-    assert cells[3] == "238"
+    assert cells[3] == "401"
 
 
 def test_search_save_set(tmp_path, capsys):
@@ -461,6 +461,19 @@ def test_exit_code_on_non_finite_float(tmp_path, capsys, argv):
     assert code == 2
     assert out == ""
     assert "finite" in err
+
+
+@pytest.mark.parametrize("elems", [[], [1, 2, 4, 8, 13, 21, 31, 45]])
+def test_exit_code_on_overflowing_statistic(tmp_path, capsys, elems):
+    # x ln x overflows at x = 1e308; this printed NaN (zero count) or
+    # Infinity (positive count), neither of them JSON, and exited 0
+    s = write_interval_set(tmp_path / "s.txt", 45, elems)
+    code, out, err = run_cli(
+        capsys, "sequence", "stats", "--signature", "2,2", "--set", s, "--x", "1e308"
+    )
+    assert code == 2
+    assert out == ""
+    assert "overflows" in err
 
 
 def test_negative_budget_env_variable(capsys, monkeypatch):

@@ -30,7 +30,7 @@ def test_interval_maximum_pair_free():
     report = max_free_set(IntegerInterval(12), Signature((2, 2)))
     assert report.best_size == 5
     assert report.witness.elements == (1, 2, 5, 10, 12)
-    assert report.nodes_explored == 238
+    assert report.nodes_explored == 401
     assert contains_sumset(report.witness, Signature((2, 2))) is None
 
 
@@ -74,36 +74,60 @@ def test_search_matches_superset_closure_table():
             assert got == want, (n, lengths)
 
 
+class _TargetReached(Exception):
+    pass
+
+
 def reference_search(ambient, sig):
-    """max_free_set's branch and bound on an element list, each node asking
-    the public introduces_sumset: (best size, witness, nodes, pruned_by)."""
+    """max_free_set's branch and bound on element lists, each node asking
+    the public introduces_sumset: (best size, witness, nodes, pruned_by).
+
+    The bound on k trailing candidates is F(k) for an interval, solved
+    first on the shorter intervals [1, k] (each run seeded with F(k - 1)
+    and stopped at F(k - 1) + 1), and k itself in a group.  Nodes and
+    prunes of those runs count too."""
     N = ambient.cardinality
-    universe = [ambient.element_at(i) for i in range(N)]
-    chosen = [universe[0]]
-    best = list(chosen)
+    bound = list(range(N + 1))
     nodes = 0
     pruned = {"cardinality": 0, "infeasible": 0}
 
-    def dfs(i):
-        nonlocal best, nodes
-        nodes += 1
-        if i == N:
-            return
-        if len(chosen) + (N - i) <= len(best):
-            pruned["cardinality"] += 1
-            return
-        if introduces_sumset(chosen, universe[i], sig, ambient):
-            pruned["infeasible"] += 1
-        else:
-            chosen.append(universe[i])
-            if len(chosen) > len(best):
-                best = list(chosen)
-            dfs(i + 1)
-            chosen.pop()
-        dfs(i + 1)
+    def run(space, best_len, target):
+        nonlocal nodes
+        universe = [space.element_at(i) for i in range(space.cardinality)]
+        chosen = [universe[0]]
+        best = list(chosen)
 
-    dfs(1)
-    return len(best), tuple(best), nodes, pruned
+        def dfs(i):
+            nonlocal best, best_len, nodes
+            nodes += 1
+            if i == len(universe):
+                return
+            if len(chosen) + bound[len(universe) - i] <= best_len:
+                pruned["cardinality"] += 1
+                return
+            if introduces_sumset(chosen, universe[i], sig, space):
+                pruned["infeasible"] += 1
+            else:
+                chosen.append(universe[i])
+                if len(chosen) > best_len:
+                    best, best_len = list(chosen), len(chosen)
+                    if best_len == target:
+                        raise _TargetReached
+                dfs(i + 1)
+                chosen.pop()
+            dfs(i + 1)
+
+        try:
+            dfs(1)
+        except _TargetReached:
+            pass
+        return best_len, tuple(best)
+
+    if isinstance(ambient, IntegerInterval):
+        for k in range(2, N):
+            bound[k] = run(IntegerInterval(k), bound[k - 1], bound[k - 1] + 1)[0]
+    best_len, best = run(ambient, 1, bound[N - 1] + 1)
+    return best_len, best, nodes, pruned
 
 
 def test_search_matches_element_list_reference():
@@ -125,6 +149,30 @@ def test_search_matches_element_list_reference():
             report.pruned_by,
         )
         assert got == reference_search(ambient, sig), (ambient, sig.lengths)
+
+
+# F of the interval-search benchmark jobs and their neighbours, with the
+# jobs' witnesses, frozen from the search under the plain cardinality bound
+INTERVAL_MAXIMA = {
+    (2, 2): dict(zip(range(19, 31), [6, 6, 6, 6, 6, 6, 6, 7, 7, 7, 7, 7])),
+    (2, 2, 2): dict(zip(range(19, 25), [11, 11, 11, 12, 12, 12])),
+}
+BENCHMARK_WITNESSES = {
+    ((2, 2), 30): (1, 2, 4, 9, 13, 23, 29),
+    ((2, 2, 2), 22): (1, 2, 3, 6, 7, 9, 10, 15, 17, 19, 20, 22),
+    ((2, 2, 2), 23): (1, 2, 3, 5, 6, 8, 13, 14, 17, 19, 22, 23),
+    ((2, 2, 2), 24): (1, 2, 3, 5, 6, 8, 12, 14, 17, 21, 22, 24),
+}
+
+
+def test_benchmark_interval_maxima():
+    for lengths, maxima in INTERVAL_MAXIMA.items():
+        for n, want in maxima.items():
+            report = max_free_set(IntegerInterval(n), Signature(lengths))
+            assert report.best_size == want, (lengths, n)
+            witness = BENCHMARK_WITNESSES.get((lengths, n))
+            if witness is not None:
+                assert report.witness.elements == witness, (lengths, n)
 
 
 SMALL_AMBIENTS = st.one_of(
@@ -171,6 +219,15 @@ def test_cardinality_budget():
 def test_node_budget():
     with pytest.raises(BudgetExceededError):
         max_free_set(IntegerInterval(12), Signature((2, 2)), max_nodes=10)
+
+
+def test_node_budget_covers_sub_solves():
+    # the runs that fill the interval bound table spend the budget too
+    ambient, sig = IntegerInterval(16), Signature((2, 2, 2))
+    nodes = max_free_set(ambient, sig).nodes_explored
+    with pytest.raises(BudgetExceededError):
+        max_free_set(ambient, sig, max_nodes=nodes - 1)
+    assert max_free_set(ambient, sig, max_nodes=nodes).nodes_explored == nodes
 
 
 def test_leading_upper_bound_values():

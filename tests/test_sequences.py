@@ -105,6 +105,19 @@ def test_liminf_statistic():
             liminf_statistic(g, x)
 
 
+def test_liminf_statistic_rejects_overflow():
+    # x ln x overflows a float at x = 1e308: inf for a positive count, nan
+    # for a zero one
+    g = greedy_sequence(SIG22, 45)
+    empty = SequencePrefix(SIG22, (), "empty")
+    for prefix in (g, empty):
+        with pytest.raises(InvalidInputError, match="overflows"):
+            liminf_statistic(prefix, 1e308)
+        with pytest.raises(InvalidInputError, match="overflows"):
+            liminf_statistic(prefix, 10**400)
+    assert liminf_statistic(g, 1e300) == 8 * math.sqrt(1e300 * math.log(1e300)) / 1e300
+
+
 def test_dyadic_params():
     p = DyadicParams.for_signature(SIG22, epsilon=0.1, m_min=1, m_max=6, seed=0)
     assert p.alpha == pytest.approx(2 / 3 + 0.05)
