@@ -112,6 +112,9 @@ class DyadicParams:
     def __post_init__(self):
         if not 0 < self.epsilon < inf:
             raise InvalidInputError("epsilon must be positive and finite")
+        if self.epsilon >= 2:
+            # dense compares the base size with size^(1 - epsilon/2) <= 1
+            raise InvalidInputError("epsilon must be below 2")
         if not isinstance(self.m_min, int) or self.m_min < 1:
             raise InvalidInputError("m_min must be a positive integer")
         if not isinstance(self.m_max, int) or self.m_max < self.m_min:

@@ -13,6 +13,8 @@ import itertools
 
 import numpy as np
 
+from sumsetfree.core import IntegerInterval, StructureError, elem_add, elem_sub
+
 
 def interval_decompositions(elems, lengths):
     """All canonical decompositions (offset, summands) inside an integer set.
@@ -210,3 +212,49 @@ def complete_rpartite_by_classes(n, r, edges, lengths):
         return None
 
     return extend([], set())
+
+
+def cube3_sum_relations(points, ambient):
+    """Check the eight-point sum system characterizing a 3-cube.
+
+    points = (x1, ..., x8) indexed so that x1 is the base corner, x2/x3/x5
+    the neighbors along the three edge directions, and the rest the
+    remaining corners in the induced order.  The four relations below plus
+    distinctness of each neighbor from the base pin the cube structure.
+    """
+    if len(points) != 8:
+        raise StructureError("cube relation check needs exactly eight points")
+    x1, x2, x3, x4, x5, x6, x7, x8 = points
+    add = lambda a, b: elem_add(a, b, ambient)
+    if x2 == x1 or x3 == x1 or x5 == x1:
+        return False
+    return (
+        add(x2, x3) == add(x4, x1)
+        and add(x2, x5) == add(x6, x1)
+        and add(x2, x7) == add(x8, x1)
+        and add(x3, x5) == add(x7, x1)
+    )
+
+
+def has_cube_dim3_by_sum_system(A):
+    """Direct 3-cube search validated through the eight-point sum system.
+
+    Independent of the detector's recursion for signature (2,2,2): it
+    tries every base point and every triple of differences directly.
+    """
+    ambient = A.ambient
+    elems = A.as_set()
+    ordered = tuple(sorted(elems))
+    interval = isinstance(ambient, IntegerInterval)
+    pairs = itertools.permutations(ordered, 2)
+    diffs = sorted({elem_sub(b, a, ambient) for a, b in pairs if b > a or not interval})
+    add = lambda a, b: elem_add(a, b, ambient)
+    for x in ordered:
+        for d1, d2, d3 in itertools.combinations_with_replacement(diffs, 3):
+            pts = [x]  # x + every sub-sum of (d1, d2, d3), d1 varying fastest
+            for d in (d1, d2, d3):
+                pts += [add(p, d) for p in pts]
+            pts = tuple(pts)
+            if all(p in elems for p in pts) and cube3_sum_relations(pts, ambient):
+                return True
+    return False

@@ -463,6 +463,19 @@ def test_exit_code_on_non_finite_float(tmp_path, capsys, argv):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("epsilon", ["2", "3", "1e308"])
+def test_exit_code_on_vacuous_epsilon(capsys, epsilon):
+    # from epsilon = 2 the density target size^(1 - epsilon/2) is at most 1,
+    # so every block would read "dense": true
+    code, out, err = run_cli(
+        capsys, "sequence", "dyadic", "--signature", "2,2", "--epsilon", epsilon,
+        "--m-max", "3", "--seed", "0",
+    )
+    assert code == 2
+    assert out == ""
+    assert "below 2" in err
+
+
 @pytest.mark.parametrize("elems", [[], [1, 2, 4, 8, 13, 21, 31, 45]])
 def test_exit_code_on_overflowing_statistic(tmp_path, capsys, elems):
     # x ln x overflows at x = 1e308; this printed NaN (zero count) or

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sumsetfree import (
     CyclicProduct,
@@ -20,6 +21,9 @@ from sumsetfree import (
     zp3_construction,
 )
 
+from sumsetfree import construct
+from sumsetfree.construct import _digits01_values, _has_progression
+
 from oracles import has_progression, ternary_01_set
 
 SIG222 = Signature((2, 2, 2))
@@ -40,6 +44,37 @@ def test_progression_free_block_never_has_ap3():
 def test_progression_free_block_sizes_at_powers():
     assert len(behrend_set(10**4).elements) == 512
     assert len(behrend_set(4096).elements) == 256
+    assert len(behrend_set(10**6).elements) == 8192
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.integers(-40, 40), max_size=14),
+    st.integers(1, 1000),
+    st.integers(-10**9, 10**9),
+)
+@example([], 1, 0)
+@example([5], 1, 0)
+@example([3, 3], 1, 0)
+@example([7, 7, 7], 1, 0)
+@example([4, -2, 1], 1, 0)
+@example([0, 2, 1, 1], 3, -7)
+def test_progression_check_matches_triple_scan(values, step, shift):
+    values = [shift + step * v for v in values]
+    assert _has_progression(values) == has_progression(values)
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 729), st.integers(-10, 740))
+def test_progression_check_on_ternary_base_plus_one(n, extra):
+    values = _digits01_values(n) + [extra]
+    assert _has_progression(values) == has_progression(values)
+
+
+def test_progression_free_block_is_rechecked(monkeypatch):
+    monkeypatch.setattr(construct, "_digits01_values", lambda n: [0, 3, 1, 5])
+    with pytest.raises(RuntimeError):
+        behrend_set(6)
 
 
 def test_progression_free_block_matches_ternary_digit_oracle():

@@ -23,10 +23,11 @@ from sumsetfree import (
     is_sidon,
     verify_multiset,
 )
-from sumsetfree.detect import cube3_sum_relations, has_cube_dim3_by_sum_system
 
 from oracles import (
+    cube3_sum_relations,
     cyclic_decompositions,
+    has_cube_dim3_by_sum_system,
     interval_decompositions,
     sidon_by_sums,
 )

@@ -127,6 +127,9 @@ def test_dyadic_params():
         DyadicParams(epsilon=0.1, m_min=1, m_max=0, seed=0, alpha=0.5)
     with pytest.raises(InvalidInputError):
         DyadicParams(epsilon=-1.0, m_min=1, m_max=3, seed=0, alpha=0.5)
+    for vacuous in (2.0, 3.0, 1e308):
+        with pytest.raises(InvalidInputError):
+            DyadicParams.for_signature(SIG22, epsilon=vacuous, m_min=1, m_max=3, seed=0)
     for bad in (math.nan, math.inf):
         with pytest.raises(InvalidInputError):
             DyadicParams.for_signature(SIG22, epsilon=bad, m_min=1, m_max=3, seed=0)
