@@ -10,11 +10,13 @@ Everything runs on bitsets.  An element is its linearized index and a set
 is a Python int with bit i set for the element at index i, starting from
 GroundSet.bitmask.  Translating an interval set is one shift; in a
 product group it is one masked shift pair per coordinate, one shift for
-the digits that do not wrap and one for those that do.  Intersection is
+the digits that do not wrap and one for those that do; the mask of a
+digit is built the first time a shift needs it.  Intersection is
 AND, its size int.bit_count(), and the differences of A are the OR of the
 translates A - a over a in A.  Element tuples appear only in witnesses.
 The branch-and-bound search and the greedy sequences keep their growing
-set as such a bitset too and call the rooted check (_rooted) on it.
+set as such a bitset too and call the rooted check (_rooted) on it, and
+the sum hypergraph reads its edges off the translates A - s.
 
 Shifts d2 < ... < d_l1 are taken in increasing linearized order and the
 first witness found is returned, so detection is deterministic.  For
@@ -70,6 +72,23 @@ def _indices(mask: int) -> list[int]:
     return out
 
 
+class _DigitMasks(dict):
+    """high[dj]: the indices whose digit at one coordinate is at least dj.
+
+    Every mask has one bit per group element, so a mask is built on first
+    use and then kept; building all of them up front costs a bit per
+    element for every residue of every modulus.
+    """
+
+    def __init__(self, stride: int, period: int, ones: int):
+        super().__init__()
+        self.stride, self.period, self.ones = stride, period, ones
+
+    def __missing__(self, dj: int) -> int:
+        mask = self[dj] = ((1 << self.period) - (1 << dj * self.stride)) * self.ones
+        return mask
+
+
 class _Bitsets:
     """Shifts and differences of index bitsets over one ambient.  A shift d
     is the index of a group element, or any integer offset in an interval."""
@@ -85,9 +104,7 @@ class _Bitsets:
         for m in reversed(ambient.moduli):
             period = m * stride
             ones = full // ((1 << period) - 1)  # bit 0 of every period
-            # high[dj]: the indices whose digit here is at least dj
-            high = [((1 << period) - (1 << dj * stride)) * ones for dj in range(m)]
-            self.digits.append((stride, m, high))
+            self.digits.append((stride, m, _DigitMasks(stride, period, ones)))
             stride = period
 
     def minus(self, mask: int, d: int) -> int:
@@ -106,6 +123,25 @@ class _Bitsets:
         if self.digits is None:
             return b - a
         return sum((b // stride - a // stride) % m * stride for stride, m, _ in self.digits)
+
+    def add(self, a: int, b: int) -> int:
+        """The index of the sum of the group elements at indices a and b."""
+        return sum((a // stride + b // stride) % m * stride for stride, m, _ in self.digits)
+
+    def translate(self, values: list, d: int) -> list:
+        """The list w with w[i + d] = values[i] over a product group: per
+        coordinate, every period of the digit is rotated by d's digit."""
+        for stride, m, _ in self.digits:
+            cut = (m - d // stride % m) * stride
+            period = m * stride
+            if cut == period:
+                continue
+            out = []
+            for b in range(0, len(values), period):
+                out += values[b + cut : b + period]
+                out += values[b : b + cut]
+            values = out
+        return values
 
     def differences(self, mask: int) -> int:
         """Nonzero differences within mask; only positive ones for intervals."""

@@ -12,6 +12,14 @@ one, in lexicographic order, whose hypergraph has the most edges; the
 maximum is at least the average |A| C(N, r) / N by double counting, and
 that exact average is returned alongside.
 
+Both the edges and the counts of r-subsets by sum come from one walk
+over the heads of the r-subsets, their r-1 smallest indices, in
+lexicographic order, with each head's sum kept as an element index.  A
+head of sum s and largest index h extends to an edge by every index
+j > h with s + j in A: the set bits above h of the detection kernel's
+bitset A - s.  The walk visits the C(N-1, r-1) heads; the combination
+budget still bounds the C(N, r) subsets they extend to.
+
 Hypergraphs serialize to a small text format: a header line
 "#hypergraph n=<vertices> r=<uniformity>", then one line per edge with
 space-separated vertex indices.  Comment lines start with '#'.
@@ -19,7 +27,9 @@ space-separated vertex indices.  Comment lines start with '#'.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,6 +46,7 @@ from .core import (
     StructureError,
     elem_add,
 )
+from .detect import _bitsets, _indices
 
 DEFAULT_COMBINATION_BUDGET = 5 * 10**6
 
@@ -124,9 +135,11 @@ def write_hypergraph_file(graph: Hypergraph, path) -> None:
 # construction from a group set
 
 
-def _subset_sums(group: CyclicProduct, r: int, max_combinations: int):
-    """Each r-subset of distinct elements as (index tuple, sum), index
-    tuples in lexicographic order; r and the budget are checked first."""
+def _heads(group: CyclicProduct, r: int, max_combinations: int):
+    """The head, the r-1 smallest indices, of each r-subset of element
+    indices as (head, index of its sum), heads in lexicographic order; r
+    and the budget on the r-subsets are checked first.  For r = 1 the one
+    head is empty."""
     if not isinstance(r, int) or r < 1:
         raise InvalidInputError(f"uniformity must be positive, got {r!r}")
     N = group.cardinality
@@ -134,12 +147,17 @@ def _subset_sums(group: CyclicProduct, r: int, max_combinations: int):
         raise BudgetExceededError(
             f"{comb(N, r)} subsets exceed the combination budget {max_combinations}"
         )
-    elements = list(group.elements())
-    for combo in itertools.combinations(range(N), r):
-        total = elements[combo[0]]
-        for idx in combo[1:]:
-            total = elem_add(total, elements[idx], group)
-        yield combo, total
+    add = _bitsets(group).add
+
+    def walk(head, s, left):
+        if not left:
+            yield head, s
+            return
+        # leave room for left - 1 more head indices and a last index
+        for i in range(head[-1] + 1 if head else 0, N - left):
+            yield from walk(head + (i,), add(s, i), left - 1)
+
+    return walk((), 0, r - 1)
 
 
 def representation_counts(
@@ -148,11 +166,29 @@ def representation_counts(
     *,
     max_combinations: int = DEFAULT_COMBINATION_BUDGET,
 ) -> dict:
-    """Number of r-subsets of distinct group elements summing to each value."""
+    """Number of r-subsets of distinct group elements summing to each value.
+
+    An r-subset is a head, its r-1 smallest indices, plus a last index j
+    above the head's.  So with P_s[j] the number of heads of sum s whose
+    indices all lie below j, the count at t is the sum over s of
+    P_s[t - s]: one pass over the C(N-1, r-1) heads, then one translate of
+    a length-N list per distinct head sum.
+    """
     if not isinstance(group, CyclicProduct):
         raise StructureError("representation counts expect a product group")
-    counts = Counter(total for _, total in _subset_sums(group, r, max_combinations))
-    return {el: counts[el] for el in group.elements()}
+    N = group.cardinality
+    firsts_by_sum: dict = {}  # head sum -> Counter of the least index above the head
+    for head, s in _heads(group, r, max_combinations):
+        firsts_by_sum.setdefault(s, Counter())[head[-1] + 1 if head else 0] += 1
+    bits = _bitsets(group)
+    counts = [0] * N
+    for s, firsts in firsts_by_sum.items():
+        below = [0] * N  # below[j]: heads of sum s whose indices all lie below j
+        for first, k in firsts.items():
+            below[first] += k
+        below = list(itertools.accumulate(below))
+        counts = list(map(operator.add, counts, bits.translate(below, s)))
+    return dict(zip(group.elements(), counts))
 
 
 def cayley_hypergraph(
@@ -163,14 +199,23 @@ def cayley_hypergraph(
     max_combinations: int = DEFAULT_COMBINATION_BUDGET,
 ) -> Hypergraph:
     """The r-uniform hypergraph with an edge per distinct r-subset summing
-    into A.  Vertices are lexicographic element indices."""
+    into A.  Vertices are lexicographic element indices.
+
+    Each head, an (r-1)-subset of sum s, extends to an edge by every index
+    j above its own with s + j in A, read off the bitset A - s; heads in
+    lexicographic order and j ascending list the edges sorted.
+    """
     if not isinstance(group, CyclicProduct):
         raise StructureError("sum hypergraphs are built over product groups")
     if A.ambient != group:
         raise StructureError("set and group ambient differ")
-    walk = _subset_sums(group, r, max_combinations)
-    edges = tuple(combo for combo, total in walk if total in A)
-    return Hypergraph(group.cardinality, r, edges)
+    heads = _heads(group, r, max_combinations)
+    bits = _bitsets(group)
+    edges = []
+    for head, s in heads:
+        first = head[-1] + 1 if head else 0
+        edges += [head + (j + first,) for j in _indices(bits.minus(A.bitmask, s) >> first)]
+    return Hypergraph(group.cardinality, r, tuple(edges))
 
 
 def best_translate(
@@ -258,13 +303,23 @@ def contains_complete_rpartite(
                 return None
         return tuple(classes)
 
-    seen_seeds = set()
+    def seeds(rest: tuple, placed: tuple = ()):
+        # The distinct ways to put an edge's vertices in the classes, one
+        # per class, in lexicographic order.  Classes of equal size are
+        # interchangeable, so vertices rise along a run of equal sizes and
+        # each seed is the first permutation of the edge that places it; a
+        # vertex is placed only if enough larger ones remain for its run.
+        i = len(placed)
+        if i == r:
+            yield placed
+            return
+        run_end = bisect.bisect_right(lengths, lengths[i])
+        low = bisect.bisect(rest, placed[-1]) if i and lengths[i - 1] == lengths[i] else 0
+        for k in range(low, len(rest) - (run_end - i) + 1):
+            yield from seeds(rest[:k] + rest[k + 1 :], placed + (rest[k],))
+
     for edge in graph.edges:
-        for perm in itertools.permutations(edge):
-            key = frozenset(zip(lengths, perm))
-            if key in seen_seeds:
-                continue
-            seen_seeds.add(key)
+        for perm in seeds(edge):
             found = grow([(v,) for v in perm])
             if found is not None:
                 return found

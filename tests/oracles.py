@@ -188,6 +188,36 @@ def greedy_sidon(limit):
     return terms
 
 
+def _residue_sum(moduli, elems):
+    return tuple(sum(coords) % m for coords, m in zip(zip(*elems), moduli))
+
+
+def sum_hypergraph_edges(moduli, elems, r):
+    """Edges of the r-uniform sum hypergraph of a set in Z_m1 x ... x Z_mk.
+
+    Vertices are the lexicographic positions of the residue tuples; an
+    edge is every r-subset of distinct positions whose residues sum into
+    the set, listed in the order itertools.combinations yields them.
+    """
+    group = list(itertools.product(*(range(m) for m in moduli)))
+    members = set(elems)
+    return [
+        combo
+        for combo in itertools.combinations(range(len(group)), r)
+        if _residue_sum(moduli, [group[i] for i in combo]) in members
+    ]
+
+
+def subset_sum_counts(moduli, r):
+    """For every residue tuple, in lexicographic order, the number of
+    r-subsets of distinct group elements that sum to it."""
+    group = list(itertools.product(*(range(m) for m in moduli)))
+    counts = dict.fromkeys(group, 0)
+    for combo in itertools.combinations(group, r):
+        counts[_residue_sum(moduli, combo)] += 1
+    return counts
+
+
 def complete_rpartite_by_classes(n, r, edges, lengths):
     """Exhaustive search for disjoint classes with all transversals edges."""
     edge_set = {tuple(sorted(e)) for e in edges}

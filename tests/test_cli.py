@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +32,23 @@ def write_interval_set(path, n, elems):
 def write_group_set(path, moduli, elems):
     write_set_file(GroundSet(CyclicProduct(moduli), elems), path)
     return str(path)
+
+
+def run_module(*argv):
+    """Run `python -m sumsetfree.cli` in a child process under an
+    address-space cap and a timeout, so an input that a regression makes
+    cost hours or gigabytes fails the test instead of stalling the suite."""
+    src = str(Path(sumsetfree.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    limit = 1500 * 2**20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    return subprocess.run(
+        [sys.executable, "-m", "sumsetfree.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60, preexec_fn=cap,
+    )
 
 
 def test_detect_sidon(tmp_path, capsys):
@@ -241,6 +259,32 @@ def test_hypergraph_flow(tmp_path, capsys):
     assert json.loads(out) == {"translate": [0], "edges": 4, "mean": "4"}
 
 
+def test_detect_in_large_product_builds_only_the_masks_it_uses(tmp_path):
+    # Z_10000^2 has 10^8 elements, so one digit mask of the kernel takes
+    # 12.5 MB and the masks of every digit 250 GB.
+    s = tmp_path / "big.txt"
+    s.write_text("#ambient product 10000,10000\n0,0\n0,1\n1,0\n1,1\n", encoding="utf-8")
+    proc = run_module("detect", "--set", str(s), "--signature", "2,2")
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["free"] is False
+    assert payload["witness"] == {
+        "offset": [0, 0],
+        "summands": [[[0, 0], [0, 1]], [[0, 0], [1, 0]]],
+    }
+
+
+def test_hypergraph_check_on_one_wide_edge(tmp_path):
+    # one edge of rank 12 and twelve equal class sizes: a single seed, not 12!
+    graph_file = tmp_path / "wide.graph"
+    graph_file.write_text("#hypergraph n=12 r=12\n" + " ".join(map(str, range(12))) + "\n")
+    proc = run_module(
+        "hypergraph", "check", "--graph", str(graph_file), "--signature", ",".join(["2"] * 12)
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"signature": [2] * 12, "free": True, "classes": None}
+
+
 def test_hypergraph_build_needs_group_set(tmp_path, capsys):
     s = write_interval_set(tmp_path / "s.txt", 5, [1, 2])
     code, _, err = run_cli(capsys, "hypergraph", "build", "--set", s, "--r", "2")
@@ -347,13 +391,7 @@ def test_exit_code_on_bounds_without_signature(capsys):
 
 
 def test_module_entry_point_runs():
-    src = str(Path(sumsetfree.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run(
-        [sys.executable, "-m", "sumsetfree.cli", "search", "--n", "5",
-         "--signature", "2,2"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = run_module("search", "--n", "5", "--signature", "2,2")
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["F"] == 3

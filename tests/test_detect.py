@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sumsetfree import (
     BudgetExceededError,
@@ -95,6 +96,30 @@ def test_detector_returns_first_enumerated():
                 assert (found.offset, found.summands) == (ws[0].offset, ws[0].summands)
             else:
                 assert found is None
+
+
+@st.composite
+def small_ground_sets(draw):
+    ambient = draw(
+        st.one_of(
+            st.builds(IntegerInterval, st.integers(1, 14)),
+            st.builds(
+                CyclicProduct,
+                st.sampled_from([(5,), (8,), (11,), (2, 4), (3, 3), (2, 2, 3), (3, 4)]),
+            ),
+        )
+    )
+    picked = draw(st.sets(st.integers(0, ambient.cardinality - 1)))
+    return GroundSet(ambient, [ambient.element_at(i) for i in picked])
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_ground_sets(), st.sampled_from([(2,), (3,), (2, 2), (2, 3), (3, 3), (2, 2, 2)]))
+def test_detection_agrees_with_enumeration(A, lengths):
+    sig = Signature(lengths)
+    witnesses = list(enumerate_sumsets(A, sig))
+    assert (contains_sumset(A, sig) is None) == (not witnesses)
+    assert all(w.is_valid_for(A) for w in witnesses)
 
 
 def test_enumeration_matches_direct_loops_interval():

@@ -1,6 +1,8 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -23,7 +25,7 @@ from sumsetfree import (
     zp3_construction,
 )
 
-from oracles import complete_rpartite_by_classes
+from oracles import complete_rpartite_by_classes, subset_sum_counts, sum_hypergraph_edges
 
 
 def z5_graph():
@@ -109,6 +111,23 @@ def test_combination_budgets():
     z5, A, _ = z5_graph()
     with pytest.raises(BudgetExceededError):
         cayley_hypergraph(z5, A, 2, max_combinations=3)
+    # the budget bounds the r-subsets, not the (r-1)-subset heads walked
+    for moduli, r in (((5,), 2), ((3, 4), 3), ((2, 2, 2, 2), 1), ((3,), 4)):
+        group = CyclicProduct(moduli)
+        zero = GroundSet(group, [group.zero])
+        limit = comb(group.cardinality, r)
+        for call in (cayley_hypergraph, best_translate):
+            if limit:
+                with pytest.raises(
+                    BudgetExceededError,
+                    match=f"^{limit} subsets exceed the combination budget {limit - 1}$",
+                ):
+                    call(group, zero, r, max_combinations=limit - 1)
+            call(group, zero, r, max_combinations=limit)
+        representation_counts(group, r, max_combinations=limit)
+    for r in (0, 2.0):
+        with pytest.raises(InvalidInputError):
+            cayley_hypergraph(z5, A, r)
 
 
 def test_cayley_ambient_mismatch():
@@ -211,3 +230,57 @@ def test_log_surface_cayley_graph():
     g = cayley_hypergraph(z.ambient, z, 3)
     assert (g.n, g.r, g.edge_count) == (64, 3, 2604)
     assert contains_complete_rpartite(g, Signature((2, 2, 2))) is None
+
+
+GRID_MODULI = ((5,), (7,), (3, 4), (2, 2, 3), (6, 6), (2, 3, 5), (2, 2, 2, 2), (3,))
+
+
+def oracle_best_translate(moduli, elems, r, counts):
+    # the first translate, in lexicographic order, whose sums hit most subsets
+    best = None
+    for x in counts:
+        shifted = (tuple((a + b) % m for a, b, m in zip(y, x, moduli)) for y in elems)
+        score = sum(counts[y] for y in shifted)
+        if best is None or score > best[1]:
+            best = (x, score)
+    N = len(counts)
+    return best + (Fraction(len(elems) * comb(N, r), N),)
+
+
+@pytest.mark.parametrize("moduli", GRID_MODULI)
+@pytest.mark.parametrize("r", (1, 2, 3, 4, 5))
+def test_sum_hypergraph_matches_oracle(moduli, r):
+    group = CyclicProduct(moduli)
+    counts = subset_sum_counts(moduli, r)
+    assert list(representation_counts(group, r).items()) == list(counts.items())
+    elems = list(group.elements())
+    rng = random.Random(f"{moduli}:{r}")
+    for S in ([], elems, rng.sample(elems, rng.randrange(1, len(elems)))):
+        A = GroundSet(group, S)
+        assert cayley_hypergraph(group, A, r).edges == tuple(sum_hypergraph_edges(moduli, S, r))
+        assert best_translate(group, A, r) == oracle_best_translate(moduli, S, r, counts)
+
+
+@functools.cache
+def z125_graph(seed):
+    group = CyclicProduct((5, 5, 5))
+    rng = random.Random(seed)
+    A = GroundSet(group, rng.sample(list(group.elements()), rng.randrange(30, 45)))
+    return cayley_hypergraph(group, A, 3)
+
+
+@pytest.mark.parametrize(
+    "seed, lengths, classes",
+    [
+        (1, (2, 2, 3), ((0, 5), (1, 6), (2, 48, 91))),
+        (1, (2, 3, 3), ((0, 79), (1, 30, 75), (2, 33, 76))),
+        (3, (2, 2, 3), ((0, 16), (1, 26), (7, 54, 73))),
+        (3, (2, 3, 3), ((0, 3), (1, 34, 115), (15, 76, 112))),
+        (3, (2, 2, 2), ((0, 11), (1, 40), (7, 118))),
+    ],
+)
+def test_complete_rpartite_first_witness_is_frozen(seed, lengths, classes):
+    # each seed is tried once per assignment of vertices to class sizes,
+    # in the order the edge's permutations first reach it
+    assert contains_complete_rpartite(z125_graph(seed), Signature(lengths)) == classes
+
