@@ -88,6 +88,30 @@ def cyclic_decompositions(moduli, elems, lengths):
     return out
 
 
+def decomposition_value_sets(decompositions, moduli=None):
+    """The value set of each decomposition (offset, summands), in order.
+
+    Values are integer sums, or residue tuples added coordinatewise when
+    moduli is given.
+    """
+
+    def add(a, b):
+        if moduli is None:
+            return a + b
+        return tuple((u + v) % m for u, v, m in zip(a, b, moduli))
+
+    out = []
+    for x, combo in decompositions:
+        values = set()
+        for p in itertools.product(*combo):
+            v = x
+            for d in p:
+                v = add(v, d)
+            values.add(v)
+        out.append(frozenset(values))
+    return out
+
+
 def interval_forbidden_masks(n, lengths):
     """Bitmasks (bit i = element i+1) of every forbidden value set in [1, n]."""
     masks = set()

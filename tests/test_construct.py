@@ -1,3 +1,6 @@
+import random
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -11,7 +14,9 @@ from sumsetfree import (
     StructureError,
     behrend_set,
     contains_sumset,
+    DyadicParams,
     deletion_with_retries,
+    dyadic_random_sequence,
     integer_l222_construction,
     integer_l222_prime,
     is_sidon,
@@ -21,10 +26,15 @@ from sumsetfree import (
     zp3_construction,
 )
 
-from sumsetfree import construct
+from sumsetfree import construct, sequences
 from sumsetfree.construct import _digits01_values, _has_progression
 
-from oracles import has_progression, ternary_01_set
+from oracles import (
+    decomposition_value_sets,
+    has_progression,
+    interval_decompositions,
+    ternary_01_set,
+)
 
 SIG222 = Signature((2, 2, 2))
 
@@ -117,6 +127,58 @@ def test_deletion_validates_input():
         random_deletion(10**4, Signature((4,)), 0)
     with pytest.raises(InvalidInputError):
         random_deletion(1, SIG222, 0)
+
+
+class _KeepAll(random.Random):
+    """A stream whose every draw is 0.0, so every sampled element is kept."""
+
+    def random(self):
+        return 0.0
+
+
+def _oracle_maxima(elems, lengths):
+    """The largest value of each distinct value set of a forbidden sumset
+    in elems, one entry per value set."""
+    decomps = interval_decompositions(elems, lengths)
+    return [max(vs) for vs in set(decomposition_value_sets(decomps))]
+
+
+# The tuned densities keep almost nothing at sizes a test can afford, so
+# these runs keep every element to reach the deletion step with many
+# obstructions.
+@pytest.mark.parametrize("lengths", [(2, 2), (2, 3), (2, 2, 2)])
+def test_deletion_with_every_element_kept_matches_oracle(monkeypatch, lengths):
+    monkeypatch.setattr(construct, "random", SimpleNamespace(Random=_KeepAll))
+    rep = random_deletion(40, Signature(lengths), 0)
+    sampled = behrend_set(40).elements
+    assert rep.sampled.elements == sampled
+    maxima = set(_oracle_maxima(sampled, lengths))
+    assert 4 <= len(maxima) <= 10
+    assert rep.deleted == tuple(sorted(maxima))
+    assert rep.result.elements == tuple(x for x in sampled if x not in maxima)
+
+
+# Blocks m = 1..2 cover [64, 68) and [256, 272); at (2, 2) sumsets span
+# both blocks.  At (2, 3) the oracle, which tries every shift up to the
+# span, would take tens of seconds over both, so that run starts at m = 2.
+@pytest.mark.parametrize(
+    "lengths, m_min, counts", [((2, 2), 1, [0, 22]), ((2, 3), 2, [12])]
+)
+def test_dyadic_with_every_element_kept_matches_oracle(monkeypatch, lengths, m_min, counts):
+    monkeypatch.setattr(sequences, "_block_stream", lambda seed, m: _KeepAll())
+    sig = Signature(lengths)
+    rep = dyadic_random_sequence(sig, DyadicParams.for_signature(sig, 0.1, m_min, 2, 0))
+    blocks = [
+        [4 ** (m + 2) - 1 + b for b in behrend_set(4**m).elements]
+        for m in range(m_min, 3)
+    ]
+    maxima = _oracle_maxima([v for block in blocks for v in block], lengths)
+    assert rep.prefix.terms == tuple(v for block in blocks for v in block if v not in maxima)
+    assert [b.obstruction_count for b in rep.blocks] == counts
+    for outcome, block in zip(rep.blocks, blocks):
+        assert outcome.sampled_size == len(block)
+        assert outcome.obstruction_count == sum(v in block for v in maxima)
+        assert outcome.retained_size == sum(v not in maxima for v in block)
 
 
 def test_primitive_roots():
