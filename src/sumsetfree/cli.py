@@ -29,6 +29,7 @@ import io
 import json
 import os
 import sys
+from collections import Counter
 
 from .core import (
     BudgetExceededError,
@@ -56,6 +57,7 @@ from .construct import (
 )
 from .detect import (
     DEFAULT_DECOMPOSITION_BUDGET,
+    _value_sets,
     contains_sumset,
     count_all_sumsets,
     enumerate_sumsets,
@@ -246,31 +248,18 @@ def _cmd_enumerate(args):
     sig = _parse_signature(args.signature)
     budget = _budget(args.max_decompositions, DEFAULT_DECOMPOSITION_BUDGET)
     if args.n is not None:
-        decomps, value_sets = count_all_sumsets(args.n, sig, budget=budget)
-        payload = {
-            "n": args.n,
-            "signature": list(sig.lengths),
-            "decompositions": decomps,
-            "distinct_value_sets": value_sets,
-        }
-        return payload, (
-            "row",
-            ["n", "signature", "decompositions", "distinct_value_sets"],
-        )
-    gs = read_set_file(args.set)
-    witnesses = list(enumerate_sumsets(gs, sig, limit=budget))
-    value_sets = {frozenset(w.values()) for w in witnesses}
-    payload = {
-        "signature": list(sig.lengths),
-        "decompositions": len(witnesses),
-        "distinct_value_sets": len(value_sets),
-    }
-    if not args.count_only:
-        payload["witnesses"] = [w.to_dict() for w in witnesses]
-    return payload, (
-        "row",
-        ["signature", "decompositions", "distinct_value_sets"],
-    )
+        decomps, distinct = count_all_sumsets(args.n, sig, budget=budget)
+        payload = {"n": args.n}
+    else:
+        gs = read_set_file(args.set)
+        value_sets = Counter(_value_sets(gs, sig, budget))
+        decomps, distinct = sum(value_sets.values()), len(value_sets)
+        payload = {}
+    payload.update(signature=list(sig.lengths), decompositions=decomps)
+    payload["distinct_value_sets"] = distinct
+    if args.set is not None and not args.count_only:
+        payload["witnesses"] = [w.to_dict() for w in enumerate_sumsets(gs, sig, limit=budget)]
+    return payload, ("row", ["n", "signature", "decompositions", "distinct_value_sets"])
 
 
 def _cmd_search(args):

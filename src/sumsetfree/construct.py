@@ -16,11 +16,14 @@ about 0.3 s for the 8192 elements below n = 10^6 (CPython 3.11 on a
 2-core x86-64 machine).
 
 random_deletion thins a progression-free base set with independent coin
-flips at an explicit density, enumerates every surviving forbidden sumset,
-and deletes the maximum of each value set.  Removing maxima kills all
+flips at an explicit density, then deletes the maximum of the value set
+of every surviving forbidden sumset.  Removing maxima kills all
 obstructions at once: any witness remaining afterwards would consist of
-surviving elements only, but its own maximum was deleted.  The resulting
-set is re-checked with the detector before it is returned.
+surviving elements only, but its own maximum was deleted.  This deletion
+step, _delete_maxima, is the one dyadic_random_sequence uses too: it
+takes the value sets from the detector as index sets, deletes the largest
+value of each distinct one and re-checks the rest with the detector
+before it is returned.
 
 The algebraic family: zp3_construction lists, for an odd prime p, the
 discrete-log triples of solutions of u + v + w = 1 with u, v, w outside
@@ -46,7 +49,7 @@ from .core import (
     Signature,
     StructureError,
 )
-from .detect import contains_sumset, enumerate_sumsets
+from .detect import _value_sets, contains_sumset
 
 DEFAULT_OBSTRUCTION_BUDGET = 10**6
 
@@ -174,17 +177,22 @@ def random_deletion(
     sampled = GroundSet(
         IntegerInterval(n), (b for b in base.elements if rng.random() < p)
     )
-    bad = set()
-    for witness in enumerate_sumsets(sampled, sig, limit=max_obstructions):
-        bad.add(max(witness.values()))
-    result = GroundSet(
-        IntegerInterval(n), (x for x in sampled.elements if x not in bad)
-    )
-    if contains_sumset(result, sig) is not None:
-        raise RuntimeError("internal error: deletion left a forbidden sumset")
+    maxima, result = _delete_maxima(sampled, sig, max_obstructions)
     return DeletionReport(
-        n, sig, seed, p, len(base), sampled, tuple(sorted(bad)), result
+        n, sig, seed, p, len(base), sampled, tuple(sorted(set(maxima))), result
     )
+
+
+def _delete_maxima(A: GroundSet, sig: Signature, limit: int):
+    """(maxima, rest): the largest value of each distinct value set of a
+    forbidden sumset in A, one entry per value set, and A without them,
+    re-checked free.  At most limit decompositions are enumerated."""
+    value_sets = set(_value_sets(A, sig, limit))
+    maxima = [A.ambient.element_at(max(vs)) for vs in value_sets]
+    rest = GroundSet(A.ambient, A.as_set().difference(maxima))
+    if contains_sumset(rest, sig) is not None:
+        raise RuntimeError("internal error: deletion left a forbidden sumset")
+    return maxima, rest
 
 
 def deletion_with_retries(

@@ -237,13 +237,18 @@ def elem_sub(a: Element, b: Element, ambient: Ambient) -> Element:
 # ---------------------------------------------------------------------------
 # ground sets
 
+# Largest bitset, in bits, that a ground set or the detection kernel
+# builds (128 MiB); a set file can name an ambient far wider than memory.
+_MAX_BITS = 2**30
+
 
 class GroundSet:
     """Immutable finite subset of an ambient, ordered by linearized index.
 
     Membership is O(1) via a frozenset.  The bitmask (bit i set iff
     element_at(i) is present) is the detector's input, built in one pass
-    over a byte buffer in O(max index / 8 + |elements|) time.
+    over a byte buffer in O(max index / 8 + |elements|) time.  An index of
+    2^30 or more raises BudgetExceededError instead of allocating.
     """
 
     __slots__ = ("ambient", "elements", "_members", "bitmask")
@@ -253,7 +258,12 @@ class GroundSet:
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "elements", tuple(sorted(index)))
         object.__setattr__(self, "_members", frozenset(index))
-        buf = bytearray(max(index.values(), default=0) // 8 + 1)
+        top = max(index.values(), default=0)
+        if top >= _MAX_BITS:
+            raise BudgetExceededError(
+                f"element index {top} exceeds the bitset limit of {_MAX_BITS} bits"
+            )
+        buf = bytearray(top // 8 + 1)
         for i in index.values():
             buf[i >> 3] |= 1 << (i & 7)
         object.__setattr__(self, "bitmask", int.from_bytes(buf, "little"))

@@ -11,7 +11,8 @@ is a Python int with bit i set for the element at index i, starting from
 GroundSet.bitmask.  Translating an interval set is one shift; in a
 product group it is one masked shift pair per coordinate, one shift for
 the digits that do not wrap and one for those that do; the mask of a
-digit is built the first time a shift needs it.  Intersection is
+digit is built the first time a shift needs it, and a product of more
+than 2^30 elements is refused with BudgetExceededError.  Intersection is
 AND, its size int.bit_count(), and the differences of A are the OR of the
 translates A - a over a in A.  Element tuples appear only in witnesses.
 The branch-and-bound search and the greedy sequences keep their growing
@@ -24,17 +25,24 @@ integer intervals only positive shifts are needed (the canonical first
 summand has minimum zero); in a product group every nonzero difference
 is a candidate.  Enumeration yields every canonical decomposition exactly
 once; distinct decompositions may share a value set, so counts of
-decompositions and of value sets are reported separately.
+decompositions and of value sets are reported separately.  A value set
+is read off the kernel's indices, not off a witness: the base index plus
+every choice of one shift per summand, added with _Bitsets.add in a
+group and with + on an interval.  Counting and the deletion step of the
+constructions use these index sets and never build element tuples.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .core import (
+    _MAX_BITS,
     Ambient,
     BudgetExceededError,
     Element,
@@ -77,14 +85,23 @@ class _DigitMasks(dict):
 
     Every mask has one bit per group element, so a mask is built on first
     use and then kept; building all of them up front costs a bit per
-    element for every residue of every modulus.
+    element for every residue of every modulus.  ones, bit 0 of every
+    period, is built on first use too, by doubling: dividing the all-ones
+    mask by 2^period - 1 would take CPython's quadratic long division.
     """
 
-    def __init__(self, stride: int, period: int, ones: int):
+    def __init__(self, stride: int, period: int, size: int):
         super().__init__()
-        self.stride, self.period, self.ones = stride, period, ones
+        self.stride, self.period, self.size = stride, period, size
+        self.ones = None
 
     def __missing__(self, dj: int) -> int:
+        if self.ones is None:
+            ones, width = 1, self.period
+            while width < self.size:
+                ones |= ones << width
+                width *= 2
+            self.ones = ones & ((1 << self.size) - 1)
         mask = self[dj] = ((1 << self.period) - (1 << dj * self.stride)) * self.ones
         return mask
 
@@ -98,13 +115,16 @@ class _Bitsets:
         self.digits = None  # per coordinate, last first: stride, modulus, masks
         if isinstance(ambient, IntegerInterval):
             return
+        size = ambient.cardinality
+        if size > _MAX_BITS:
+            raise BudgetExceededError(
+                f"product of {size} elements exceeds the bitset limit of {_MAX_BITS} bits"
+            )
         self.digits = []
-        full = (1 << ambient.cardinality) - 1
         stride = 1
         for m in reversed(ambient.moduli):
             period = m * stride
-            ones = full // ((1 << period) - 1)  # bit 0 of every period
-            self.digits.append((stride, m, _DigitMasks(stride, period, ones)))
+            self.digits.append((stride, m, _DigitMasks(stride, period, size)))
             stride = period
 
     def minus(self, mask: int, d: int) -> int:
@@ -180,14 +200,36 @@ def _decompositions(bits: _Bitsets, mask: int, lengths: tuple[int, ...], summand
         yield from _decompositions(bits, inter, tail, summands + ((0,) + combo,))
 
 
-def _witnesses(A: GroundSet, sig: Signature) -> Iterator[SumsetWitness]:
+def _budgeted(A: GroundSet, sig: Signature, limit: int | None):
+    """_decompositions over A, raising BudgetExceededError past limit."""
+    found = _decompositions(_bitsets(A.ambient), A.bitmask, sig.lengths)
+    for count, decomposition in enumerate(found, start=1):
+        if limit is not None and count > limit:
+            raise BudgetExceededError(
+                f"decomposition enumeration exceeded limit of {limit}"
+            )
+        yield decomposition
+
+
+def _witnesses(A: GroundSet, sig: Signature, limit: int | None = None) -> Iterator[SumsetWitness]:
     ambient = A.ambient
-    bits = _bitsets(ambient)
     point = functools.cache(ambient.element_at)
-    shift = point if bits.digits else (lambda d: d)
-    for base, summands in _decompositions(bits, A.bitmask, sig.lengths):
+    shift = point if _bitsets(ambient).digits else (lambda d: d)
+    for base, summands in _budgeted(A, sig, limit):
         summands = tuple(tuple(map(shift, L)) for L in summands)
         yield SumsetWitness(ambient, point(base), summands)
+
+
+def _value_sets(A: GroundSet, sig: Signature, limit: int | None = None):
+    """The value set of each canonical decomposition, as a frozenset of
+    element indices, in enumerate_sumsets' order and under its limit."""
+    bits = _bitsets(A.ambient)
+    add = bits.add if bits.digits else operator.add
+    for base, summands in _budgeted(A, sig, limit):
+        sums = {base}
+        for L in summands:
+            sums = {add(s, d) for s in sums for d in L}
+        yield frozenset(sums)
 
 
 def contains_sumset(A: GroundSet, sig: Signature) -> Optional[SumsetWitness]:
@@ -210,12 +252,7 @@ def enumerate_sumsets(
     shift order; distinct decompositions may describe the same value set.
     With limit set, raises BudgetExceededError past that many yields.
     """
-    for count, witness in enumerate(_witnesses(A, sig), start=1):
-        if limit is not None and count > limit:
-            raise BudgetExceededError(
-                f"decomposition enumeration exceeded limit of {limit}"
-            )
-        yield witness
+    return _witnesses(A, sig, limit)
 
 
 def introduces_sumset(
@@ -444,9 +481,5 @@ def count_all_sumsets(
             f"decomposition space {space} exceeds budget {budget}"
         )
     A = GroundSet(IntegerInterval(n), range(1, n + 1))
-    count = 0
-    value_sets = set()
-    for w in enumerate_sumsets(A, sig):
-        count += 1
-        value_sets.add(frozenset(w.values()))
-    return count, len(value_sets)
+    value_sets = Counter(_value_sets(A, sig))
+    return sum(value_sets.values()), len(value_sets)

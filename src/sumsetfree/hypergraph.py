@@ -7,7 +7,8 @@ A correspond to complete r-partite subgraphs here, so freeness questions
 become subgraph questions; contains_complete_rpartite searches for a
 complete r-partite witness with prescribed part sizes by backtracking
 over disjoint vertex classes, pruning through the sets of k-subsets of
-edges.  best_translate scans all translates A + x and returns the first
+edges.  best_translate scores every translate A + x at once, as the sum
+over a in A of the list of counts translated by -a, and returns the first
 one, in lexicographic order, whose hypergraph has the most edges; the
 maximum is at least the average |A| C(N, r) / N by double counting, and
 that exact average is returned alongside.
@@ -44,7 +45,6 @@ from .core import (
     InvalidInputError,
     Signature,
     StructureError,
-    elem_add,
 )
 from .detect import _bitsets, _indices
 
@@ -232,19 +232,20 @@ def best_translate(
     lexicographically first translate attaining the maximum, and its
     count is never below the mean.
     """
+    if A.ambient != group:
+        raise StructureError("set and group ambient differ")
     counts = representation_counts(group, r, max_combinations=max_combinations)
+    counts = list(counts.values())  # in index order
     N = group.cardinality
-    best_x = None
-    best_count = -1
-    for x in group.elements():
-        score = sum(counts[elem_add(a, x, group)] for a in A)
-        if score > best_count:
-            best_x = x
-            best_count = score
+    bits = _bitsets(group)
+    scores = [0] * N  # scores[x]: the sum of counts[a + x] over a in A
+    for a in _indices(A.bitmask):
+        scores = list(map(operator.add, scores, bits.translate(counts, bits.diff(a, 0))))
+    best = max(range(N), key=scores.__getitem__)  # the first maximum
     mean = Fraction(len(A) * comb(N, r), N)
-    if best_count < mean:
+    if scores[best] < mean:
         raise RuntimeError("internal error: best translate fell below the average")
-    return best_x, best_count, mean
+    return group.element_at(best), scores[best], mean
 
 
 # ---------------------------------------------------------------------------

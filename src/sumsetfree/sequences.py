@@ -10,10 +10,12 @@ dyadic_random_sequence builds an infinite-sequence prefix block by block:
 block m covers [4^(m+2), 4^(m+2) + 4^m), carries a shifted copy of the
 progression-free construction for length 4^m, and keeps each element v
 independently with probability v^(-alpha), alpha tuned from the signature
-plus half the slack epsilon.  Obstructions are enumerated over the entire
-sampled union, so sumsets spanning several blocks are found too, and the
-maximum of each obstruction's value set is deleted, which leaves a free
-set.  Per-block sample, obstruction, and retention counts are reported
+plus half the slack epsilon.  The entire sampled union then goes through
+the deletion step of random_deletion, so sumsets spanning several blocks
+are found too: the maximum of each distinct value set of a forbidden
+sumset is deleted and the rest re-checked free.  A block's obstruction
+count is the number of distinct value sets whose maximum lies in it.
+Per-block sample, obstruction, and retention counts are reported
 rather than thresholded; at small block counts the sample is sparse and
 often empty, and the counts are the observable trend.  Each block draws
 from its own deterministically derived stream, so prefixes agree when the
@@ -38,8 +40,8 @@ from .core import (
     InvalidInputError,
     Signature,
 )
-from .construct import DEFAULT_OBSTRUCTION_BUDGET, behrend_set
-from .detect import _bitsets, _indices, _rooted, contains_sumset, enumerate_sumsets
+from .construct import DEFAULT_OBSTRUCTION_BUDGET, _delete_maxima, behrend_set
+from .detect import _bitsets, _indices, _rooted
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,34 +204,25 @@ def dyadic_random_sequence(
 
     top = params.m_max
     ambient = IntegerInterval(4 ** (top + 2) + 4**top)
-    union_set = GroundSet(ambient, sampled_union)
-    value_sets = set()
-    for witness in enumerate_sumsets(union_set, sig, limit=max_obstructions):
-        value_sets.add(frozenset(witness.values()))
-    maxima = {max(vs) for vs in value_sets}
+    maxima, free = _delete_maxima(GroundSet(ambient, sampled_union), sig, max_obstructions)
 
     blocks = []
     for m, start, size, base_size, kept, dense in block_data:
-        obstruction_count = sum(
-            1 for vs in value_sets if start <= max(vs) < start + size
-        )
-        retained = [v for v in kept if v not in maxima]
+        obstruction_count = sum(1 for v in maxima if start <= v < start + size)
+        retained = sum(1 for v in kept if v in free)
         blocks.append(
             BlockOutcome(
                 m, start, size, base_size, len(kept), obstruction_count,
-                len(retained), dense,
+                retained, dense,
             )
         )
 
-    terms = tuple(sorted(v for v in sampled_union if v not in maxima))
     prefix = SequencePrefix(
         sig,
-        terms,
+        free.elements,
         f"dyadic epsilon={params.epsilon} m={params.m_min}..{params.m_max} "
         f"seed={params.seed}",
     )
-    if terms and contains_sumset(GroundSet(ambient, terms), sig) is not None:
-        raise RuntimeError("internal error: dyadic deletion left a forbidden sumset")
     return DyadicReport(
         sig, params, prefix, tuple(blocks), not _is_supported_signature(sig)
     )

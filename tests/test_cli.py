@@ -274,6 +274,39 @@ def test_detect_in_large_product_builds_only_the_masks_it_uses(tmp_path):
     }
 
 
+def test_detect_in_product_of_eight_small_moduli(tmp_path):
+    # Z_10^8 also has 10^8 elements; building bit 0 of every period of
+    # each digit by long division of the all-ones mask took over 3 minutes
+    zero, first, last = [0] * 8, [1] + [0] * 7, [0] * 7 + [1]
+    lines = [",".join(map(str, e)) for e in (zero, last, first, [1] + [0] * 6 + [1])]
+    s = tmp_path / "z10.txt"
+    text = "#ambient product " + ",".join(["10"] * 8) + "\n" + "\n".join(lines) + "\n"
+    s.write_text(text, encoding="utf-8")
+    proc = run_module("detect", "--set", str(s), "--signature", "2,2")
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["witness"] == {"offset": zero, "summands": [[zero, last], [zero, first]]}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "#ambient product 1000000000,1000000000\n999999999,999999999\n",
+        "#ambient interval n=1000000000000000000\n999999999999999999\n",
+        "#ambient product 1000000000,1000000000\n0,0\n0,1\n1,0\n1,1\n",
+    ],
+)
+def test_detect_in_too_wide_ambient_exits_on_budget(tmp_path, text):
+    # the first two need a set bitset of 10^18 bits, the last one kernel
+    # masks of as many
+    s = tmp_path / "wide.txt"
+    s.write_text(text, encoding="utf-8")
+    proc = run_module("detect", "--set", str(s), "--signature", "2,2")
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert "bitset limit" in proc.stderr
+
+
 def test_hypergraph_check_on_one_wide_edge(tmp_path):
     # one edge of rank 12 and twelve equal class sizes: a single seed, not 12!
     graph_file = tmp_path / "wide.graph"

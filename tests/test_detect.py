@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,9 +26,12 @@ from sumsetfree import (
     verify_multiset,
 )
 
+from sumsetfree.detect import _Bitsets, _value_sets
+
 from oracles import (
     cube3_sum_relations,
     cyclic_decompositions,
+    decomposition_value_sets,
     has_cube_dim3_by_sum_system,
     interval_decompositions,
     sidon_by_sums,
@@ -120,6 +124,34 @@ def test_detection_agrees_with_enumeration(A, lengths):
     witnesses = list(enumerate_sumsets(A, sig))
     assert (contains_sumset(A, sig) is None) == (not witnesses)
     assert all(w.is_valid_for(A) for w in witnesses)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_ground_sets(), st.sampled_from([(2,), (3,), (2, 2), (2, 3), (3, 3), (2, 2, 2)]))
+def test_value_sets_match_oracle(A, lengths):
+    ambient = A.ambient
+    if isinstance(ambient, IntegerInterval):
+        decomps = interval_decompositions(A.elements, lengths)
+        moduli = None
+    else:
+        moduli = ambient.moduli
+        decomps = cyclic_decompositions(moduli, A.elements, lengths)
+    want = Counter(
+        frozenset(map(ambient.index, vs)) for vs in decomposition_value_sets(decomps, moduli)
+    )
+    got = list(_value_sets(A, Signature(lengths)))
+    assert len(got) == len(decomps)
+    assert Counter(got) == want
+
+
+@pytest.mark.parametrize("moduli", [(5,), (2, 4), (3, 3), (2, 2, 3), (3, 4, 5), (7, 1, 2)])
+def test_digit_masks_match_division_formula(moduli):
+    size = CyclicProduct(moduli).cardinality
+    for stride, m, high in _Bitsets(CyclicProduct(moduli)).digits:
+        period = m * stride
+        ones = ((1 << size) - 1) // ((1 << period) - 1)
+        for dj in range(1, m):
+            assert high[dj] == ((1 << period) - (1 << dj * stride)) * ones
 
 
 def test_enumeration_matches_direct_loops_interval():

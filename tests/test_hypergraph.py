@@ -136,6 +136,12 @@ def test_cayley_ambient_mismatch():
         cayley_hypergraph(CyclicProduct((6,)), A, 2)
 
 
+def test_best_translate_ambient_mismatch():
+    _, A, _ = z5_graph()
+    with pytest.raises(StructureError):
+        best_translate(CyclicProduct((6,)), A, 2)
+
+
 def test_complete_bipartite_detection():
     comp = Hypergraph.from_edges(4, 2, [(0, 2), (0, 3), (1, 2), (1, 3)])
     assert contains_complete_rpartite(comp, Signature((2, 2))) == ((0, 1), (2, 3))
