@@ -23,13 +23,24 @@ Shifts d2 < ... < d_l1 are taken in increasing linearized order and the
 first witness found is returned, so detection is deterministic.  For
 integer intervals only positive shifts are needed (the canonical first
 summand has minimum zero); in a product group every nonzero difference
-is a candidate.  Enumeration yields every canonical decomposition exactly
-once; distinct decompositions may share a value set, so counts of
-decompositions and of value sets are reported separately.  A value set
-is read off the kernel's indices, not off a witness: the base index plus
-every choice of one shift per summand, added with _Bitsets.add in a
-group and with + on an interval.  Counting and the deletion step of the
-constructions use these index sets and never build element tuples.
+is a candidate.  A level is skipped before any intersection when A
+repeats too few differences to fit the summand: each of its l1 - 1
+shifts d needs at least the tail's least number of values in A & (A - d),
+while those sizes less one, summed over all differences d, come to the number
+of pairs less the number of differences, one popcount (see
+_decompositions).  On the discrete-log sets of construct.zp3_construction
+the full (2,2,2) scan keeps a single level of intersections.
+
+Enumeration yields every canonical decomposition exactly once; distinct
+decompositions may share a value set, so counts of decompositions and of
+value sets are reported separately.  The kernel yields the earlier
+summands as shift tuples and the last one as the indices it reaches, its
+first index the offset; shifts of the last summand are taken only for a
+witness.  A value set is read off those indices, not off a witness: the
+sums of the earlier summands, formed once per last level, added to each
+chosen index with _Bitsets.add in a group and with + on an interval.
+Counting and the deletion step of the constructions use these index sets
+and never build element tuples.
 """
 
 from __future__ import annotations
@@ -188,15 +199,31 @@ _bitsets = functools.lru_cache(maxsize=8)(_Bitsets)
 
 
 def _decompositions(bits: _Bitsets, mask: int, lengths: tuple[int, ...], summands=()):
-    """Yield (offset index, shift tuples) of each canonical decomposition in mask."""
+    """Yield (earlier summands, chosen indices) of each canonical decomposition
+    in mask: the earlier summands as shift tuples, the last summand as the
+    indices it reaches, the first of them the offset.
+
+    A level where meets could find no shift set is skipped whole.  With k
+    elements in mask, |mask & (mask - d)| is the number of pairs with
+    difference d, and those numbers add up to pairs = k(k-1)/2 on an
+    interval (positive differences) or k(k-1) in a group (nonzero ones), so
+    the sum over the differences d of (count(d) - 1) is pairs minus the
+    number of differences.  Each of the l - 1 distinct shifts of a summand
+    needs count(d) >= needed, so when that sum is below (l - 1)(needed - 1)
+    no shift set qualifies.
+    """
     l, tail = lengths[0], lengths[1:]
     if not tail:
         for chosen in itertools.combinations(_indices(mask), l):
-            base = chosen[0]
-            yield base, summands + (tuple(bits.diff(base, x) for x in chosen),)
+            yield summands, chosen
         return
     needed = _min_value_count(tail, bits.ambient)
-    for combo, inter in bits.meets(mask, _indices(bits.differences(mask)), l - 1, needed):
+    shifts = bits.differences(mask)
+    k = mask.bit_count()
+    pairs = k * (k - 1) if bits.digits else k * (k - 1) // 2
+    if pairs - shifts.bit_count() < (l - 1) * (needed - 1):
+        return
+    for combo, inter in bits.meets(mask, _indices(shifts), l - 1, needed):
         yield from _decompositions(bits, inter, tail, summands + ((0,) + combo,))
 
 
@@ -213,23 +240,37 @@ def _budgeted(A: GroundSet, sig: Signature, limit: int | None):
 
 def _witnesses(A: GroundSet, sig: Signature, limit: int | None = None) -> Iterator[SumsetWitness]:
     ambient = A.ambient
+    bits = _bitsets(ambient)
     point = functools.cache(ambient.element_at)
-    shift = point if _bitsets(ambient).digits else (lambda d: d)
-    for base, summands in _budgeted(A, sig, limit):
-        summands = tuple(tuple(map(shift, L)) for L in summands)
+    shift = point if bits.digits else (lambda d: d)
+    for summands, chosen in _budgeted(A, sig, limit):
+        base = chosen[0]
+        last = tuple(bits.diff(base, x) for x in chosen)
+        summands = tuple(tuple(map(shift, L)) for L in summands + (last,))
         yield SumsetWitness(ambient, point(base), summands)
 
 
 def _value_sets(A: GroundSet, sig: Signature, limit: int | None = None):
     """The value set of each canonical decomposition, as a frozenset of
-    element indices, in enumerate_sumsets' order and under its limit."""
+    element indices, in enumerate_sumsets' order and under its limit.
+
+    Decompositions of one last level share their earlier summands, so the
+    sums of those are formed once per level, and each chosen index is
+    translated by them once per level."""
     bits = _bitsets(A.ambient)
     add = bits.add if bits.digits else operator.add
-    for base, summands in _budgeted(A, sig, limit):
-        sums = {base}
-        for L in summands:
-            sums = {add(s, d) for s in sums for d in L}
-        yield frozenset(sums)
+    level = None
+    for summands, chosen in _budgeted(A, sig, limit):
+        if summands is not level:
+            level, sums, translates = summands, [0], {}
+            for L in summands:
+                sums = list({add(s, d) for s in sums for d in L})
+        values = set()
+        for x in chosen:
+            if x not in translates:
+                translates[x] = [add(x, s) for s in sums]
+            values.update(translates[x])
+        yield frozenset(values)
 
 
 def contains_sumset(A: GroundSet, sig: Signature) -> Optional[SumsetWitness]:

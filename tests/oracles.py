@@ -21,16 +21,16 @@ def interval_decompositions(elems, lengths):
 
     A canonical summand starts at 0 and lists distinct positive shifts in
     increasing order; equal summand sets may repeat across positions.
+    Every shift d of a summand puts x + d among the values (zeros in the
+    other summands), so only shifts to members above the offset x are
+    tried.
     """
     members = set(elems)
-    if not members:
-        return []
-    top = max(members)
     out = []
     for x in sorted(members):
-        budget = top - x
+        shifts = [y - x for y in sorted(members) if y > x]
         pools = [
-            [(0,) + c for c in itertools.combinations(range(1, budget + 1), l - 1)]
+            [(0,) + c for c in itertools.combinations(shifts, l - 1)]
             for l in lengths
         ]
         for combo in itertools.product(*pools):

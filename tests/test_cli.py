@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sumsetfree
 from sumsetfree import (
@@ -565,3 +569,40 @@ def test_negative_budget_env_variable(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "search", "--signature", "2,2", "--n", "8")
     assert code == 2
     assert "LFREE_BUDGET" in err
+
+
+# Replacement fields: malformed numbers, stray headers and arbitrary text.
+# No run of four digits, so no drawn ambient needs more than ~10^6 bits.
+_junk = st.one_of(
+    st.sampled_from(["", "x", "1.5", "-1", "0", "0x3", " 4", "٣", "#", "#ambient interval n=3"]),
+    st.text(max_size=8).filter(lambda t: not re.search(r"\d{4}", t)),
+)
+
+
+@st.composite
+def _set_texts(draw):
+    """A well-formed set file with up to three of its fields replaced by junk."""
+    moduli = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        n = sum(moduli)
+        fields = [["#ambient interval", f"n={n}"]]
+        fields += draw(st.lists(st.integers(1, n).map(lambda x: [str(x)]), max_size=8))
+    else:
+        fields = [["#ambient product", ",".join(map(str, moduli))]]
+        row = st.tuples(*(st.integers(0, m - 1).map(str) for m in moduli)).map(list)
+        fields += draw(st.lists(row, max_size=8))
+    for i, j, junk in draw(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 2), _junk), max_size=3)):
+        line = fields[i % len(fields)]
+        line[j % len(line)] = junk
+    return "\n".join([" ".join(fields[0])] + [",".join(line) for line in fields[1:]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_set_texts())
+def test_fuzzed_set_file_never_crashes(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "set.txt"
+    path.write_text(text, encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        code = run(["detect", "--set", str(path), "--signature", "2,2"])
+    assert code in (0, 2, 3), out.getvalue()

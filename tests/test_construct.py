@@ -158,11 +158,11 @@ def test_deletion_with_every_element_kept_matches_oracle(monkeypatch, lengths):
     assert rep.result.elements == tuple(x for x in sampled if x not in maxima)
 
 
-# Blocks m = 1..2 cover [64, 68) and [256, 272); at (2, 2) sumsets span
-# both blocks.  At (2, 3) the oracle, which tries every shift up to the
-# span, would take tens of seconds over both, so that run starts at m = 2.
+# Blocks m = 1..2 cover [64, 68) and [256, 272); sumsets span both blocks.
+# Started at m = 2, the second block alone has fewer obstructions.
 @pytest.mark.parametrize(
-    "lengths, m_min, counts", [((2, 2), 1, [0, 22]), ((2, 3), 2, [12])]
+    "lengths, m_min, counts",
+    [((2, 2), 1, [0, 22]), ((2, 3), 2, [12]), ((2, 3), 1, [0, 27])],
 )
 def test_dyadic_with_every_element_kept_matches_oracle(monkeypatch, lengths, m_min, counts):
     monkeypatch.setattr(sequences, "_block_stream", lambda seed, m: _KeepAll())

@@ -24,6 +24,7 @@ from sumsetfree import (
     is_hilbert_cube_free,
     is_sidon,
     verify_multiset,
+    zp3_construction,
 )
 
 from sumsetfree.detect import _Bitsets, _value_sets
@@ -142,6 +143,92 @@ def test_value_sets_match_oracle(A, lengths):
     got = list(_value_sets(A, Signature(lengths)))
     assert len(got) == len(decomps)
     assert Counter(got) == want
+
+
+@st.composite
+def translated_pairs(draw):
+    """A set and a translate of it: in a product group by any element, on
+    an interval by an offset that keeps the translate inside the carrier.
+    Spans up to 40 with few elements make sparse sets, where the level cut
+    of the detection kernel fires."""
+    if draw(st.booleans()):
+        ambient = CyclicProduct(draw(st.sampled_from([(11,), (3, 4), (2, 2, 3), (5, 5)])))
+        picked = draw(st.sets(st.integers(0, ambient.cardinality - 1), max_size=12))
+        elems = [ambient.element_at(i) for i in picked]
+        t = ambient.element_at(draw(st.integers(0, ambient.cardinality - 1)))
+        moved = [tuple((a + b) % m for a, b, m in zip(x, t, ambient.moduli)) for x in elems]
+        return GroundSet(ambient, elems), GroundSet(ambient, moved)
+    span = draw(st.integers(1, 40))
+    elems = draw(st.sets(st.integers(1, span), max_size=12))
+    t = draw(st.integers(0, 40 - span))
+    ambient = IntegerInterval(40)
+    return GroundSet(ambient, elems), GroundSet(ambient, [x + t for x in elems])
+
+
+@settings(max_examples=60, deadline=None)
+@given(translated_pairs(), st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 2, 2)]))
+def test_freeness_is_translation_invariant(pair, lengths):
+    A, moved = pair
+    sig = Signature(lengths)
+    assert (contains_sumset(A, sig) is None) == (contains_sumset(moved, sig) is None)
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_level_cut_leaves_one_meets_call_on_zp3(monkeypatch, p):
+    # The discrete-log set is (2,2,2)-free; without the level cut the
+    # full scan makes 937 (p = 11) and 1651 (p = 13) meets calls.  Every
+    # second level has too few repeated differences to yield, so only
+    # the first level's call remains.
+    calls = []
+    meets = _Bitsets.meets
+
+    def counted(self, *args):
+        calls.append(args)
+        return meets(self, *args)
+
+    monkeypatch.setattr(_Bitsets, "meets", counted)
+    assert contains_sumset(zp3_construction(p), SIG222) is None
+    assert len(calls) == 1
+
+
+def test_enumeration_order_frozen_on_zp3():
+    # frozen before the last summand was carried as indices
+    first = [
+        (w.offset, w.summands)
+        for w in itertools.islice(enumerate_sumsets(zp3_construction(13), SIG23), 5)
+    ]
+    head = ((0, 0, 0), (0, 1, 2)), ((0, 0, 0), (1, 4, 4))
+    assert first == [
+        ((1, 9, 11), (head[0], head[1] + (last,)))
+        for last in [(4, 9, 9), (5, 7, 7), (6, 10, 10), (9, 8, 8), (10, 5, 5)]
+    ]
+
+
+def test_first_witness_frozen_on_planted_group_set():
+    rng = random.Random(5)
+    moduli = (12, 12, 12)
+    universe = list(CyclicProduct(moduli).elements())
+    chosen = {rng.choice(universe)}
+    for d in [rng.choice(universe[1:]) for _ in range(3)]:
+        chosen |= {tuple((a + b) % m for a, b, m in zip(s, d, moduli)) for s in chosen}
+    rest = [u for u in universe if u not in chosen]
+    rng.shuffle(rest)
+    chosen.update(rest[: 100 - len(chosen)])
+    w = contains_sumset(GroundSet(CyclicProduct(moduli), chosen), SIG222)
+    assert (w.offset, w.summands) == (
+        (4, 0, 8),
+        (((0, 0, 0), (0, 0, 2)), ((0, 0, 0), (0, 0, 2)), ((0, 0, 0), (1, 8, 9))),
+    )
+
+
+def test_witness_list_frozen_on_sparse_interval_set():
+    # The level cut skips four inner levels here; the two witnesses and
+    # their order (offset 7 before 3) come from the levels that remain.
+    gs = interval_set([1, 3, 4, 7, 9, 11, 13, 14, 15, 18, 22], 23)
+    assert [(w.offset, w.summands) for w in enumerate_sumsets(gs, Signature((2, 2, 3)))] == [
+        (7, ((0, 2), (0, 2), (0, 2, 4))),
+        (3, ((0, 4), (0, 4), (0, 4, 11))),
+    ]
 
 
 @pytest.mark.parametrize("moduli", [(5,), (2, 4), (3, 3), (2, 2, 3), (3, 4, 5), (7, 1, 2)])
