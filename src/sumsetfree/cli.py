@@ -14,7 +14,8 @@ Commands that consume randomness (construct random, sequence dyadic)
 require an explicit --seed and print byte-identical reports for equal
 arguments.  Budget-type defaults can be overridden globally through the
 LFREE_BUDGET environment variable; explicit flags still win.  --threads
-is accepted for forward compatibility and does not change results, as
+takes an integer of at least 1 (below that the command exits 2); it is
+accepted for forward compatibility and does not change results, as
 execution is sequential.
 
 Exit codes: 0 on success, 2 on usage or validation errors, 3 when a
@@ -57,10 +58,10 @@ from .construct import (
 )
 from .detect import (
     DEFAULT_DECOMPOSITION_BUDGET,
-    _value_sets,
+    _valued,
+    _witness_maker,
     contains_sumset,
     count_all_sumsets,
-    enumerate_sumsets,
     is_hilbert_cube_free,
     is_sidon,
 )
@@ -251,14 +252,20 @@ def _cmd_enumerate(args):
         decomps, distinct = count_all_sumsets(args.n, sig, budget=budget)
         payload = {"n": args.n}
     else:
+        # one kernel walk gives the counts and, unless count-only, the witnesses
         gs = read_set_file(args.set)
-        value_sets = Counter(_value_sets(gs, sig, budget))
+        witness = None if args.count_only else _witness_maker(gs.ambient)
+        value_sets, witnesses = Counter(), []
+        for values, decomposition in _valued(gs, sig, budget):
+            value_sets[values] += 1
+            if witness is not None:
+                witnesses.append(witness(decomposition).to_dict())
         decomps, distinct = sum(value_sets.values()), len(value_sets)
         payload = {}
     payload.update(signature=list(sig.lengths), decompositions=decomps)
     payload["distinct_value_sets"] = distinct
     if args.set is not None and not args.count_only:
-        payload["witnesses"] = [w.to_dict() for w in enumerate_sumsets(gs, sig, limit=budget)]
+        payload["witnesses"] = witnesses
     return payload, ("row", ["n", "signature", "decompositions", "distinct_value_sets"])
 
 
@@ -507,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="PATH", help="write the report to a file")
     common.add_argument(
         "--threads", type=int, default=1,
-        help="reserved; execution is sequential and output does not depend on it",
+        help="reserved, at least 1; execution is sequential and output does not depend on it",
     )
 
     parser = argparse.ArgumentParser(
@@ -686,6 +693,8 @@ def run(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
+        if args.threads < 1:
+            raise InvalidInputError(f"--threads must be at least 1, got {args.threads}")
         payload, csv_spec = args.func(args)
         text = render_report(payload, args.format, csv_spec)
         if args.out:

@@ -238,21 +238,34 @@ def _budgeted(A: GroundSet, sig: Signature, limit: int | None):
         yield decomposition
 
 
-def _witnesses(A: GroundSet, sig: Signature, limit: int | None = None) -> Iterator[SumsetWitness]:
-    ambient = A.ambient
+def _witness_maker(ambient: Ambient):
+    """The function taking a kernel decomposition (earlier summands,
+    chosen indices) to its SumsetWitness over ambient."""
     bits = _bitsets(ambient)
     point = functools.cache(ambient.element_at)
     shift = point if bits.digits else (lambda d: d)
-    for summands, chosen in _budgeted(A, sig, limit):
+
+    def witness(decomposition) -> SumsetWitness:
+        summands, chosen = decomposition
         base = chosen[0]
         last = tuple(bits.diff(base, x) for x in chosen)
         summands = tuple(tuple(map(shift, L)) for L in summands + (last,))
-        yield SumsetWitness(ambient, point(base), summands)
+        return SumsetWitness(ambient, point(base), summands)
+
+    return witness
 
 
-def _value_sets(A: GroundSet, sig: Signature, limit: int | None = None):
-    """The value set of each canonical decomposition, as a frozenset of
-    element indices, in enumerate_sumsets' order and under its limit.
+def _witnesses(A: GroundSet, sig: Signature, limit: int | None = None) -> Iterator[SumsetWitness]:
+    witness = _witness_maker(A.ambient)
+    for decomposition in _budgeted(A, sig, limit):
+        yield witness(decomposition)
+
+
+def _valued(A: GroundSet, sig: Signature, limit: int | None = None):
+    """Yield (value set, decomposition) for each canonical decomposition,
+    in enumerate_sumsets' order and under its limit: the value set as a
+    frozenset of element indices, the decomposition as the kernel yields
+    it, for _witness_maker.
 
     Decompositions of one last level share their earlier summands, so the
     sums of those are formed once per level, and each chosen index is
@@ -260,7 +273,8 @@ def _value_sets(A: GroundSet, sig: Signature, limit: int | None = None):
     bits = _bitsets(A.ambient)
     add = bits.add if bits.digits else operator.add
     level = None
-    for summands, chosen in _budgeted(A, sig, limit):
+    for decomposition in _budgeted(A, sig, limit):
+        summands, chosen = decomposition
         if summands is not level:
             level, sums, translates = summands, [0], {}
             for L in summands:
@@ -270,7 +284,12 @@ def _value_sets(A: GroundSet, sig: Signature, limit: int | None = None):
             if x not in translates:
                 translates[x] = [add(x, s) for s in sums]
             values.update(translates[x])
-        yield frozenset(values)
+        yield frozenset(values), decomposition
+
+
+def _value_sets(A: GroundSet, sig: Signature, limit: int | None = None):
+    """The value set of each canonical decomposition, as in _valued."""
+    return map(operator.itemgetter(0), _valued(A, sig, limit))
 
 
 def contains_sumset(A: GroundSet, sig: Signature) -> Optional[SumsetWitness]:
@@ -319,15 +338,34 @@ def _rooted(bits: _Bitsets, mask: int, root: int, lengths: tuple[int, ...]) -> b
     # D1 + ... + Dr inside mask.  Each nonzero d in any Di is some a - root
     # with a in mask (zeros elsewhere); root stays in every intersection,
     # so the last summand only needs l_r elements left.
+    #
+    # Two exact shortcuts.  Every intersection meets yields is a subset of
+    # mask keeping needed elements, so a mask with fewer has no answer.
+    # When the tail is the last summand alone, needed is l_r on both kinds
+    # of ambient, so the first intersection meets yields already holds the
+    # l_r elements the last level would ask for.
     l, tail = lengths[0], lengths[1:]
     if not tail:
         return mask.bit_count() >= l
     needed = _min_value_count(tail, bits.ambient)
-    shifts = [bits.diff(root, i) for i in _indices(mask) if i != root]
-    return any(
-        _rooted(bits, inter, root, tail)
-        for _, inter in bits.meets(mask, shifts, l - 1, needed)
-    )
+    if mask.bit_count() < needed:
+        return False
+    others = mask & ~(1 << root)
+    if bits.digits is None:
+        shifts = []
+        while others:
+            low = others & -others
+            shifts.append(low.bit_length() - 1 - root)
+            others ^= low
+    else:
+        shifts = [bits.diff(root, i) for i in _indices(others)]
+    found = bits.meets(mask, shifts, l - 1, needed)
+    if len(tail) == 1:
+        return next(found, None) is not None
+    for _, inter in found:
+        if _rooted(bits, inter, root, tail):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

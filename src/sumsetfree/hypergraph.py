@@ -64,19 +64,20 @@ class Hypergraph:
             raise InvalidInputError(f"vertex count must be positive, got {self.n!r}")
         if not isinstance(self.r, int) or self.r < 1:
             raise InvalidInputError(f"uniformity must be positive, got {self.r!r}")
-        seen = set()
+        # one pass: each edge strictly increasing, each strictly above the last
+        last = None
         for edge in self.edges:
             if len(edge) != self.r:
                 raise StructureError(f"edge {edge!r} is not {self.r}-uniform")
-            if list(edge) != sorted(set(edge)):
+            if not all(map(operator.lt, edge, edge[1:])):
                 raise StructureError(f"edge {edge!r} is not sorted and distinct")
             if edge[0] < 0 or edge[-1] >= self.n:
                 raise StructureError(f"edge {edge!r} leaves the vertex range")
-            if edge in seen:
-                raise StructureError(f"duplicate edge {edge!r}")
-            seen.add(edge)
-        if list(self.edges) != sorted(self.edges):
-            raise StructureError("edges must be listed in sorted order")
+            if last is not None and edge <= last:
+                if edge == last:
+                    raise StructureError(f"duplicate edge {edge!r}")
+                raise StructureError("edges must be listed in sorted order")
+            last = edge
 
     @classmethod
     def from_edges(cls, n: int, r: int, edges: Iterable[Iterable[int]]) -> "Hypergraph":

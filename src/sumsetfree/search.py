@@ -23,6 +23,11 @@ the witness (the first maximum in depth-first order) are those of the
 plain count bound.  The reported node count and the max_nodes budget
 cover the table's runs too.
 
+The rooted check's answer depends only on the grown set, since the new
+index is always its highest, so the runs meet the same sets again; one
+search keeps the answers in a dict keyed by the grown set and empties it
+at _ROOTED_MEMO_LIMIT entries, which bounds its memory.
+
 The closed-form evaluators cover the leading upper bound
 (l_r - 1)^(1/P') * n^(1 - 1/P') with P' the product of all summand sizes
 but the last, the exact lower-bound exponent 1 - (S - r)/(P - 1) as a
@@ -57,6 +62,9 @@ from .core import (
 from .detect import _bitsets, _indices, _rooted, contains_sumset
 
 DEFAULT_CARDINALITY_BUDGET = 64
+
+# the rooted-check answers one search keeps before it starts afresh
+_ROOTED_MEMO_LIMIT = 2**16
 
 
 @dataclass
@@ -123,6 +131,9 @@ def max_free_set(
     # doll[k]: most elements a free set can take from k consecutive
     # candidates; F(k) on intervals, k itself in a group
     doll = list(range(N + 1))
+    # rooted[grown]: does grown, free but for its highest index, hold a
+    # sumset through that index; the same for every run that meets grown
+    rooted = {}
 
     def solve(n: int, best_size: int, target: int) -> tuple[int, int]:
         # First free subset of indices 0..n-1 holding index 0 that beats
@@ -140,7 +151,12 @@ def max_free_set(
                 pruned["cardinality"] += 1
                 return False
             grown = mask | 1 << i
-            if _rooted(bits, grown, i, sig.lengths):
+            hit = rooted.get(grown)
+            if hit is None:
+                if len(rooted) >= _ROOTED_MEMO_LIMIT:
+                    rooted.clear()
+                hit = rooted[grown] = _rooted(bits, grown, i, sig.lengths)
+            if hit:
                 pruned["infeasible"] += 1
             else:
                 if size + 1 > best_size:

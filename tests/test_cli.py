@@ -518,6 +518,17 @@ def test_exit_code_on_negative_budget(tmp_path, capsys, argv):
     assert "non-negative" in err
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exits_2(capsys, threads):
+    argv = ["search", "--n", "5", "--signature", "2,2"]
+    assert run_cli(capsys, *argv, "--threads", "1")[0] == 0
+    code, out, err = run_cli(capsys, *argv, "--threads", threads)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "--threads" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

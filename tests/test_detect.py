@@ -27,7 +27,7 @@ from sumsetfree import (
     zp3_construction,
 )
 
-from sumsetfree.detect import _Bitsets, _value_sets
+from sumsetfree.detect import _Bitsets, _bitsets, _rooted, _value_sets
 
 from oracles import (
     cube3_sum_relations,
@@ -171,6 +171,43 @@ def test_freeness_is_translation_invariant(pair, lengths):
     A, moved = pair
     sig = Signature(lengths)
     assert (contains_sumset(A, sig) is None) == (contains_sumset(moved, sig) is None)
+
+
+@st.composite
+def member_masks(draw):
+    """A set drawn member by member with even odds, so about half full:
+    sparse sets rarely hold a sumset through a given member.  Ambients stay
+    small enough for the brute-force oracles at (2,2,3)."""
+    ambient = draw(
+        st.one_of(
+            st.builds(IntegerInterval, st.integers(1, 12)),
+            st.builds(CyclicProduct, st.sampled_from([(5,), (7,), (2, 4), (3, 3), (2, 2, 2)])),
+        )
+    )
+    keep = draw(st.lists(st.booleans(), min_size=ambient.cardinality, max_size=ambient.cardinality))
+    return GroundSet(ambient, [ambient.element_at(i) for i, k in enumerate(keep) if k])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    member_masks(),
+    st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (2, 2, 2), (2, 2, 3)]),
+)
+def test_rooted_matches_oracle(A, lengths):
+    # rooted at any member, the check holds exactly when some sumset
+    # inside the set passes through that member
+    ambient = A.ambient
+    if isinstance(ambient, IntegerInterval):
+        moduli = None
+        decomps = interval_decompositions(A.elements, lengths)
+    else:
+        moduli = ambient.moduli
+        decomps = cyclic_decompositions(moduli, A.elements, lengths)
+    covered = set().union(*decomposition_value_sets(decomps, moduli))
+    bits = _bitsets(ambient)
+    for x in A.elements:
+        root = ambient.index(x)
+        assert _rooted(bits, A.bitmask, root, lengths) == (x in covered), x
 
 
 @pytest.mark.parametrize("p", [11, 13])

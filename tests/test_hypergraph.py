@@ -56,9 +56,9 @@ def test_hypergraph_validation():
         Hypergraph(3, 2, ((1, 0),))
     with pytest.raises(StructureError):
         Hypergraph(3, 2, ((0, 0),))
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError, match="duplicate"):
         Hypergraph(3, 2, ((0, 1), (0, 1)))
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError, match="sorted order"):
         Hypergraph(3, 2, ((0, 2), (0, 1)))
 
 

@@ -23,6 +23,8 @@ from sumsetfree import (
     upper_bound_leading,
 )
 
+from sumsetfree import search
+
 from oracles import exhaustive_max_free, interval_free_table
 
 
@@ -173,6 +175,41 @@ def test_benchmark_interval_maxima():
             witness = BENCHMARK_WITNESSES.get((lengths, n))
             if witness is not None:
                 assert report.witness.elements == witness, (lengths, n)
+
+
+@pytest.mark.parametrize(
+    "n, lengths, calls",
+    # without the memo of rooted answers: 20 754 and 63 991 calls
+    [(24, (2, 2, 2), 12246), (30, (2, 2), 19740)],
+)
+def test_rooted_check_runs_once_per_grown_set(monkeypatch, n, lengths, calls):
+    counted = []
+    rooted = search._rooted
+
+    def counting(*args):
+        counted.append(args[1])
+        return rooted(*args)
+
+    monkeypatch.setattr(search, "_rooted", counting)
+    max_free_set(IntegerInterval(n), Signature(lengths))
+    assert len(counted) == len(set(counted)) == calls
+
+
+def _outcome(report):
+    return report.best_size, report.witness.elements, report.nodes_explored, report.pruned_by
+
+
+def test_rooted_memo_bound_leaves_reports_unchanged(monkeypatch):
+    cases = [
+        (IntegerInterval(n), Signature(lengths))
+        for lengths in ((2, 2), (2, 3), (2, 2, 2))
+        for n in range(1, 21)
+    ]
+    cases.append((CyclicProduct((3, 3, 3)), Signature((2, 2))))
+    full = [_outcome(max_free_set(ambient, sig)) for ambient, sig in cases]
+    monkeypatch.setattr(search, "_ROOTED_MEMO_LIMIT", 4)
+    tiny = [_outcome(max_free_set(ambient, sig)) for ambient, sig in cases]
+    assert tiny == full
 
 
 SMALL_AMBIENTS = st.one_of(
