@@ -358,7 +358,8 @@ def _rooted(bits: _Bitsets, mask: int, root: int, lengths: tuple[int, ...]) -> b
             shifts.append(low.bit_length() - 1 - root)
             others ^= low
     else:
-        shifts = [bits.diff(root, i) for i in _indices(others)]
+        # the shifts a - root as one translate of the other members
+        shifts = _indices(bits.minus(others, root))
     found = bits.meets(mask, shifts, l - 1, needed)
     if len(tail) == 1:
         return next(found, None) is not None

@@ -312,3 +312,34 @@ def has_cube_dim3_by_sum_system(A):
             if all(p in elems for p in pts) and cube3_sum_relations(pts, ambient):
                 return True
     return False
+
+
+def automorphism_orbits(moduli):
+    """The orbit of each element of Z_m1 x ... x Z_mk under all of its
+    automorphisms, as a dict from residue tuple to frozenset of tuples.
+
+    A homomorphism is fixed by the images g_i of the unit vectors e_i, and
+    any g_i whose order divides m_i will do; the automorphisms are the
+    bijective ones.  Every choice of images is tried, N**k of them for N
+    elements and k coordinates, so the group must keep that at most 10**5.
+    """
+    group = list(itertools.product(*(range(m) for m in moduli)))
+    if len(group) ** len(moduli) > 10**5:
+        raise ValueError(f"{moduli}: too many candidate automorphisms")
+    pools = [
+        [g for g in group if all(m * x % q == 0 for x, q in zip(g, moduli))]
+        for m in moduli
+    ]
+    orbits = {x: set() for x in group}
+    for images in itertools.product(*pools):
+        phi = [
+            tuple(
+                sum(c * g[t] for c, g in zip(x, images)) % q
+                for t, q in enumerate(moduli)
+            )
+            for x in group
+        ]
+        if len(set(phi)) == len(group):
+            for x, y in zip(group, phi):
+                orbits[x].add(y)
+    return {x: frozenset(o) for x, o in orbits.items()}

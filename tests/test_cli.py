@@ -311,6 +311,20 @@ def test_detect_in_too_wide_ambient_exits_on_budget(tmp_path, text):
     assert "bitset limit" in proc.stderr
 
 
+@pytest.mark.parametrize("moduli", ["40,40", ",".join(["2"] * 20)])
+def test_large_group_search_exits_on_node_budget(moduli):
+    # a recursion per candidate index hit Python's recursion limit past
+    # about 1000 elements; the orbit leaders of Z_2^20 come from 21 class
+    # representatives, not from its 2^20 elements
+    proc = run_module(
+        "search", "--moduli", moduli, "--signature", "2,2", "--allow-large",
+        "--max-nodes", "5000",
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "error: search exceeded node budget 5000\n"
+
+
 def test_hypergraph_check_on_one_wide_edge(tmp_path):
     # one edge of rank 12 and twelve equal class sizes: a single seed, not 12!
     graph_file = tmp_path / "wide.graph"

@@ -181,7 +181,7 @@ def member_masks(draw):
     ambient = draw(
         st.one_of(
             st.builds(IntegerInterval, st.integers(1, 12)),
-            st.builds(CyclicProduct, st.sampled_from([(5,), (7,), (2, 4), (3, 3), (2, 2, 2)])),
+            st.builds(CyclicProduct, st.sampled_from([(5,), (7,), (2, 4), (4, 2), (2, 6), (3, 3), (2, 2, 2)])),
         )
     )
     keep = draw(st.lists(st.booleans(), min_size=ambient.cardinality, max_size=ambient.cardinality))

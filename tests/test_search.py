@@ -25,7 +25,7 @@ from sumsetfree import (
 
 from sumsetfree import search
 
-from oracles import exhaustive_max_free, interval_free_table
+from oracles import automorphism_orbits, exhaustive_max_free, interval_free_table
 
 
 def test_interval_maximum_pair_free():
@@ -87,11 +87,12 @@ def reference_search(ambient, sig):
     The bound on k trailing candidates is F(k) for an interval, solved
     first on the shorter intervals [1, k] (each run seeded with F(k - 1)
     and stopped at F(k - 1) + 1), and k itself in a group.  Nodes and
-    prunes of those runs count too."""
+    prunes of those runs count too.  No automorphism limits the second
+    element, so in a group only F and the witness must agree."""
     N = ambient.cardinality
     bound = list(range(N + 1))
     nodes = 0
-    pruned = {"cardinality": 0, "infeasible": 0}
+    pruned = {"cardinality": 0, "infeasible": 0, "symmetry": 0}
 
     def run(space, best_len, target):
         nonlocal nodes
@@ -133,24 +134,92 @@ def reference_search(ambient, sig):
 
 
 def test_search_matches_element_list_reference():
-    cases = [
-        (IntegerInterval(n), Signature(lengths))
-        for lengths in ((2, 2), (2, 3), (2, 2, 2))
-        for n in range(1, 17)
+    for lengths in ((2, 2), (2, 3), (2, 2, 2)):
+        for n in range(1, 17):
+            ambient, sig = IntegerInterval(n), Signature(lengths)
+            report = max_free_set(ambient, sig)
+            got = (
+                report.best_size,
+                report.witness.elements,
+                report.nodes_explored,
+                report.pruned_by,
+            )
+            assert got == reference_search(ambient, sig), (n, lengths)
+
+
+GROUP_REFERENCE_CASES = (
+    [((2,) * k, (2, 2)) for k in range(1, 6)]
+    + [
+        (moduli, lengths)
+        for moduli in ((2, 4), (4, 2), (2, 2, 4), (12,), (4, 4))
+        for lengths in ((2, 2), (2, 3))
     ]
-    cases += [
-        (CyclicProduct(moduli), Signature((2, 2)))
-        for moduli in ((3, 3), (3, 4), (2, 2, 3))
-    ]
-    for ambient, sig in cases:
-        report = max_free_set(ambient, sig)
-        got = (
-            report.best_size,
-            report.witness.elements,
-            report.nodes_explored,
-            report.pruned_by,
-        )
-        assert got == reference_search(ambient, sig), (ambient, sig.lengths)
+    + [((3, 9), (2, 2)), ((3, 3), (3, 3)), ((3, 3), (2, 2)), ((3, 4), (2, 2)), ((2, 2, 3), (2, 2))]
+)
+
+
+@pytest.mark.parametrize("moduli, lengths", GROUP_REFERENCE_CASES)
+def test_group_search_matches_element_list_reference(moduli, lengths):
+    # the search takes fewer nodes than the reference, which lets any index
+    # come second, but finds the same maximum and the same witness
+    ambient, sig = CyclicProduct(moduli), Signature(lengths)
+    report = max_free_set(ambient, sig)
+    best, witness, nodes, _ = reference_search(ambient, sig)
+    assert (report.best_size, report.witness.elements) == (best, witness)
+    assert report.nodes_explored <= nodes
+
+
+def test_group_maximum_frozen_on_z7_squared():
+    # frozen from the search without the automorphism rule: 971 288 nodes
+    report = max_free_set(CyclicProduct((7, 7)), Signature((2, 2)), allow_large=True)
+    assert report.best_size == 7
+    assert report.witness.elements == ((0, 0), (0, 1), (1, 0), (1, 2), (2, 5), (5, 1), (5, 5))
+    assert report.nodes_explored == 102696
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_symmetry_counter_on_elementary_two_groups(k):
+    # every {0, g} in Z_2^k holds {0, g} + {0, g}, so the search passes
+    # each index with index 0 alone chosen: index 1 fails the rooted check,
+    # and every later index shares its orbit with index 1
+    report = max_free_set(CyclicProduct((2,) * k), Signature((2, 2)))
+    n = 2**k
+    assert report.best_size == 1
+    assert report.nodes_explored == n
+    assert report.pruned_by == {"cardinality": 0, "infeasible": 1, "symmetry": n - 2}
+
+
+@pytest.mark.parametrize(
+    "moduli",
+    [(1,), (2,), (8,), (9,), (12,), (30,), (2, 4), (4, 2), (2, 6), (6, 2),
+     (3, 3), (4, 4), (3, 9), (9, 3), (2, 2, 2), (2, 2, 4), (2, 4, 2), (6, 3, 2)],
+)
+def test_orbit_leaders_match_automorphism_orbits(moduli):
+    # sound: the least element of every orbit under all automorphisms is a
+    # leader, so the search never skips it; exact on these groups: H's
+    # orbits are the full ones
+    minima = {min(orbit) for orbit in automorphism_orbits(moduli).values()}
+    leaders = set(search._orbit_leaders(moduli))
+    assert minima <= leaders
+    assert leaders == minima
+
+
+def _leader_indices(moduli):
+    ambient = CyclicProduct(moduli)
+    return {ambient.index(v) for v in search._orbit_leaders(moduli)}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_orbit_leaders_of_elementary_groups(p, k):
+    # GL(k, p) fixes 0 and is transitive on the rest
+    assert _leader_indices((p,) * k) == {0, 1}
+
+
+@pytest.mark.parametrize("n", range(1, 61))
+def test_orbit_leaders_of_cyclic_groups(n):
+    # the units of Z_n move x exactly to the residues with gcd(x, n)
+    assert _leader_indices((n,)) == {0} | {d for d in range(1, n) if n % d == 0}
 
 
 # F of the interval-search benchmark jobs and their neighbours, with the
