@@ -36,6 +36,7 @@ chains the two for the largest admissible prime.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from math import log
@@ -165,6 +166,11 @@ def random_deletion(
     Every run returns a set that the detector confirms free; only its size
     is random.  The same (n, sig, seed) always yields the same report.
     """
+    return next(_deletions(n, sig, seed, max_obstructions))
+
+
+def _deletions(n: int, sig: Signature, seed: int, max_obstructions: int):
+    """random_deletion's reports for seeds seed, seed + 1, ... over one base."""
     if sig.r < 2:
         raise InvalidSignatureError("deletion construction needs at least two summands")
     if not isinstance(n, int) or n < 2:
@@ -173,14 +179,15 @@ def random_deletion(
     omega = log(len(base)) / log(n)
     exponent = (sig.r - sig.total - omega) / (sig.product - 1)
     p = 0.5 * n**exponent
-    rng = random.Random(seed)
-    sampled = GroundSet(
-        IntegerInterval(n), (b for b in base.elements if rng.random() < p)
-    )
-    maxima, result = _delete_maxima(sampled, sig, max_obstructions)
-    return DeletionReport(
-        n, sig, seed, p, len(base), sampled, tuple(sorted(set(maxima))), result
-    )
+    for s in itertools.count(seed):
+        rng = random.Random(s)
+        sampled = GroundSet(
+            IntegerInterval(n), (b for b in base.elements if rng.random() < p)
+        )
+        maxima, result = _delete_maxima(sampled, sig, max_obstructions)
+        yield DeletionReport(
+            n, sig, s, p, len(base), sampled, tuple(sorted(set(maxima))), result
+        )
 
 
 def _delete_maxima(A: GroundSet, sig: Signature, limit: int):
@@ -209,14 +216,9 @@ def deletion_with_retries(
     report is returned even when every attempt fell short."""
     if max_attempts < 1:
         raise InvalidInputError("max_attempts must be at least 1")
-    report = None
-    for attempt in range(max_attempts):
-        report = random_deletion(
-            n, sig, seed + attempt, max_obstructions=max_obstructions
-        )
+    for attempt, report in zip(range(max_attempts), _deletions(n, sig, seed, max_obstructions)):
         if len(report.result) >= report.success_threshold:
             return report, attempt + 1, True
-    assert report is not None
     return report, max_attempts, False
 
 

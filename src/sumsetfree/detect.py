@@ -159,21 +159,6 @@ class _Bitsets:
         """The index of the sum of the group elements at indices a and b."""
         return sum((a // stride + b // stride) % m * stride for stride, m, _ in self.digits)
 
-    def translate(self, values: list, d: int) -> list:
-        """The list w with w[i + d] = values[i] over a product group: per
-        coordinate, every period of the digit is rotated by d's digit."""
-        for stride, m, _ in self.digits:
-            cut = (m - d // stride % m) * stride
-            period = m * stride
-            if cut == period:
-                continue
-            out = []
-            for b in range(0, len(values), period):
-                out += values[b + cut : b + period]
-                out += values[b : b + cut]
-            values = out
-        return values
-
     def differences(self, mask: int) -> int:
         """Nonzero differences within mask; only positive ones for intervals."""
         out = 0

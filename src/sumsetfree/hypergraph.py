@@ -7,19 +7,25 @@ A correspond to complete r-partite subgraphs here, so freeness questions
 become subgraph questions; contains_complete_rpartite searches for a
 complete r-partite witness with prescribed part sizes by backtracking
 over disjoint vertex classes, pruning through the sets of k-subsets of
-edges.  best_translate scores every translate A + x at once, as the sum
-over a in A of the list of counts translated by -a, and returns the first
-one, in lexicographic order, whose hypergraph has the most edges; the
-maximum is at least the average |A| C(N, r) / N by double counting, and
-that exact average is returned alongside.
+edges.
 
-Both the edges and the counts of r-subsets by sum come from one walk
-over the heads of the r-subsets, their r-1 smallest indices, in
-lexicographic order, with each head's sum kept as an element index.  A
-head of sum s and largest index h extends to an edge by every index
-j > h with s + j in A: the set bits above h of the detection kernel's
-bitset A - s.  The walk visits the C(N-1, r-1) heads; the combination
-budget still bounds the C(N, r) subsets they extend to.
+The edges come from the heads of the r-subsets, their r-1 smallest
+indices, in itertools.combinations order: a head of sum s and largest
+index h extends to an edge by every j > h with s + j in A, the set bits
+above h of the detection kernel's bitset A - s.
+
+The counts by sum need no walk.  For a partition L of r with l(L) parts
+of gcd d, y -> sum L_i y_i maps G^l(L) onto dG (aG + bG = gcd(a, b)G)
+with fibres of equal size, so the signed cycle-type formula for e_r
+(Macdonald, Symmetric Functions and Hall Polynomials, I.2) gives
+r! #{r-subsets of sum t} = sum over L of (-1)^(r - l(L)) (r!/z_L)
+N^l(L) / |dG| [t in dG].  In Z_m1 x ... x Z_mk, |dG| = N / prod gcd(d, m_i)
+and t is in dG iff each t_i is divisible by gcd(d, m_i).  best_translate
+counts A by residue class once per d to score every A + x, and returns
+the first, in lexicographic order, with the most edges and the exact
+average |A| C(N, r) / N, which the maximum reaches by double counting.
+Complements turn r into min(r, N - r), so the partitions number at most
+C(N, r), and each d, a divisor of r, costs O(N + |A|) tuple steps.
 
 Hypergraphs serialize to a small text format: a header line
 "#hypergraph n=<vertices> r=<uniformity>", then one line per edge with
@@ -29,12 +35,13 @@ space-separated vertex indices.  Comment lines start with '#'.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, gcd, prod
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -136,29 +143,52 @@ def write_hypergraph_file(graph: Hypergraph, path) -> None:
 # construction from a group set
 
 
-def _heads(group: CyclicProduct, r: int, max_combinations: int):
-    """The head, the r-1 smallest indices, of each r-subset of element
-    indices as (head, index of its sum), heads in lexicographic order; r
-    and the budget on the r-subsets are checked first.  For r = 1 the one
-    head is empty."""
+def _check_subsets(N: int, r: int, max_combinations: int) -> None:
+    """r is a positive integer and the C(N, r) r-subsets fit the budget."""
     if not isinstance(r, int) or r < 1:
         raise InvalidInputError(f"uniformity must be positive, got {r!r}")
-    N = group.cardinality
     if comb(N, r) > max_combinations:
         raise BudgetExceededError(
             f"{comb(N, r)} subsets exceed the combination budget {max_combinations}"
         )
-    add = _bitsets(group).add
 
-    def walk(head, s, left):
-        if not left:
-            yield head, s
-            return
-        # leave room for left - 1 more head indices and a last index
-        for i in range(head[-1] + 1 if head else 0, N - left):
-            yield from walk(head + (i,), add(s, i), left - 1)
 
-    return walk((), 0, r - 1)
+def _cycle_types(r: int, top: int):
+    """The partitions of r into parts of at most top, largest part first."""
+    if r == 0:
+        yield ()
+    for k in range(min(r, top), 0, -1):
+        for rest in _cycle_types(r - k, k):
+            yield (k, *rest)
+
+
+def _translate_scores(group, r: int, max_combinations: int, A=None) -> list:
+    """For each x, in index order, the number of pairs of an a in A and an
+    r-subset of sum a + x, by the formula in the module docstring; A
+    defaults to {0}, which leaves the count of r-subsets of sum x."""
+    if not isinstance(group, CyclicProduct):
+        raise StructureError("representation counts expect a product group")
+    N, moduli = group.cardinality, group.moduli
+    _check_subsets(N, r, max_combinations)
+    A = [group.zero] if A is None else A.elements
+    if r > N:
+        return [0] * N
+    total = (0,) * len(moduli)
+    if 2 * r > N:
+        r, total = N - r, tuple(N // m * comb(m, 2) % m for m in moduli)
+    weights = Counter()  # g -> r! times the count of each t in dG
+    for parts in _cycle_types(r, r):
+        g = tuple(gcd(gcd(*parts), m) for m in moduli)
+        # the permutations of cycle type parts, times N^l(parts) / |dG|
+        perms = factorial(r) // prod(k**e * factorial(e) for k, e in Counter(parts).items())
+        weights[g] += (-1) ** (r - len(parts)) * perms * N ** len(parts) * prod(g) // N
+    # the d = 1 term counts every a for every x
+    scores = [weights.pop((1,) * len(moduli), 0) * len(A)] * N
+    for g, w in weights.items():
+        classes = Counter(tuple(map(operator.mod, a, g)) for a in A)
+        digits = ([(s - v) % gi for v in range(m)] for s, m, gi in zip(total, moduli, g))
+        scores = [x + w * classes[k] for x, k in zip(scores, itertools.product(*digits))]
+    return [s // factorial(r) for s in scores]
 
 
 def representation_counts(
@@ -167,29 +197,8 @@ def representation_counts(
     *,
     max_combinations: int = DEFAULT_COMBINATION_BUDGET,
 ) -> dict:
-    """Number of r-subsets of distinct group elements summing to each value.
-
-    An r-subset is a head, its r-1 smallest indices, plus a last index j
-    above the head's.  So with P_s[j] the number of heads of sum s whose
-    indices all lie below j, the count at t is the sum over s of
-    P_s[t - s]: one pass over the C(N-1, r-1) heads, then one translate of
-    a length-N list per distinct head sum.
-    """
-    if not isinstance(group, CyclicProduct):
-        raise StructureError("representation counts expect a product group")
-    N = group.cardinality
-    firsts_by_sum: dict = {}  # head sum -> Counter of the least index above the head
-    for head, s in _heads(group, r, max_combinations):
-        firsts_by_sum.setdefault(s, Counter())[head[-1] + 1 if head else 0] += 1
-    bits = _bitsets(group)
-    counts = [0] * N
-    for s, firsts in firsts_by_sum.items():
-        below = [0] * N  # below[j]: heads of sum s whose indices all lie below j
-        for first, k in firsts.items():
-            below[first] += k
-        below = list(itertools.accumulate(below))
-        counts = list(map(operator.add, counts, bits.translate(below, s)))
-    return dict(zip(group.elements(), counts))
+    """Number of r-subsets of distinct group elements summing to each value."""
+    return dict(zip(group.elements(), _translate_scores(group, r, max_combinations)))
 
 
 def cayley_hypergraph(
@@ -210,13 +219,15 @@ def cayley_hypergraph(
         raise StructureError("sum hypergraphs are built over product groups")
     if A.ambient != group:
         raise StructureError("set and group ambient differ")
-    heads = _heads(group, r, max_combinations)
+    N = group.cardinality
+    _check_subsets(N, r, max_combinations)
     bits = _bitsets(group)
     edges = []
-    for head, s in heads:
+    for head in itertools.combinations(range(N - 1), r - 1):
+        s = functools.reduce(bits.add, head[1:], head[0]) if head else 0
         first = head[-1] + 1 if head else 0
         edges += [head + (j + first,) for j in _indices(bits.minus(A.bitmask, s) >> first)]
-    return Hypergraph(group.cardinality, r, tuple(edges))
+    return Hypergraph(N, r, tuple(edges))
 
 
 def best_translate(
@@ -235,13 +246,8 @@ def best_translate(
     """
     if A.ambient != group:
         raise StructureError("set and group ambient differ")
-    counts = representation_counts(group, r, max_combinations=max_combinations)
-    counts = list(counts.values())  # in index order
+    scores = _translate_scores(group, r, max_combinations, A)
     N = group.cardinality
-    bits = _bitsets(group)
-    scores = [0] * N  # scores[x]: the sum of counts[a + x] over a in A
-    for a in _indices(A.bitmask):
-        scores = list(map(operator.add, scores, bits.translate(counts, bits.diff(a, 0))))
     best = max(range(N), key=scores.__getitem__)  # the first maximum
     mean = Fraction(len(A) * comb(N, r), N)
     if scores[best] < mean:

@@ -146,8 +146,8 @@ def max_free_set(
     nodes = 0
     pruned = {"cardinality": 0, "infeasible": 0, "symmetry": 0}
     # doll[k]: most elements a free set can take from k consecutive
-    # candidates; F(k) on intervals, k itself in a group
-    doll = list(range(N + 1))
+    # candidates; F(k) on intervals, one entry per run, k in a group
+    doll = [0, 1] if isinstance(ambient, IntegerInterval) else range(N + 1)
     # rooted[grown]: does grown, free but for its highest index, hold a
     # sumset through that index; the same for every run that meets grown
     rooted = {}
@@ -202,7 +202,7 @@ def max_free_set(
     if isinstance(ambient, IntegerInterval):
         # F(m) is F(m - 1) or one more, so each run only asks which
         for m in range(2, N):
-            doll[m] = solve(m, doll[m - 1], doll[m - 1] + 1)[0]
+            doll.append(solve(m, doll[m - 1], doll[m - 1] + 1)[0])
     best_size, best_mask = solve(N, 1, doll[N - 1] + 1)
     witness = GroundSet(ambient, map(ambient.element_at, _indices(best_mask)))
     if contains_sumset(witness, sig) is not None:

@@ -325,6 +325,18 @@ def test_large_group_search_exits_on_node_budget(moduli):
     assert proc.stderr == "error: search exceeded node budget 5000\n"
 
 
+def test_long_interval_search_exits_on_node_budget():
+    # a bound table of n + 1 entries, built before the first node, would
+    # need some 4 GB at n = 10^8; the table grows by one entry per run
+    proc = run_module(
+        "search", "--n", "100000000", "--signature", "2,2", "--allow-large",
+        "--max-nodes", "10",
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "error: search exceeded node budget 10\n"
+
+
 def test_hypergraph_check_on_one_wide_edge(tmp_path):
     # one edge of rank 12 and twelve equal class sizes: a single seed, not 12!
     graph_file = tmp_path / "wide.graph"

@@ -122,6 +122,27 @@ def test_deletion_retries_move_to_next_seed():
     assert len(rep.result.elements) >= rep.success_threshold
 
 
+@pytest.mark.parametrize("max_attempts, attempts, ok, seed", [(3, 3, True, 20), (2, 2, False, 19)])
+def test_deletion_retries_build_the_base_once(monkeypatch, max_attempts, attempts, ok, seed):
+    # seeds 18 and 19 fall short at n = 10**4 and seed 20 does not
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return behrend_set(n)
+
+    monkeypatch.setattr(construct, "behrend_set", counted)
+    rep, got_attempts, got_ok = deletion_with_retries(
+        10**4, SIG222, 18, max_attempts=max_attempts
+    )
+    assert calls == [10**4]
+    assert (got_attempts, got_ok, rep.seed) == (attempts, ok, seed)
+    monkeypatch.undo()
+    alone = random_deletion(10**4, SIG222, seed)
+    assert rep.to_dict() == alone.to_dict()
+    assert rep.result.elements == alone.result.elements
+
+
 def test_deletion_validates_input():
     with pytest.raises(InvalidSignatureError):
         random_deletion(10**4, Signature((4,)), 0)

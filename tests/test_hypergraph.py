@@ -238,7 +238,9 @@ def test_log_surface_cayley_graph():
     assert contains_complete_rpartite(g, Signature((2, 2, 2))) is None
 
 
-GRID_MODULI = ((5,), (7,), (3, 4), (2, 2, 3), (6, 6), (2, 3, 5), (2, 2, 2, 2), (3,))
+GRID_MODULI = (
+    (5,), (7,), (3, 4), (2, 2, 3), (6, 6), (2, 3, 5), (2, 2, 2, 2), (3,), (4, 6), (9, 3), (8, 2)
+)
 
 
 def oracle_best_translate(moduli, elems, r, counts):
@@ -265,6 +267,21 @@ def test_sum_hypergraph_matches_oracle(moduli, r):
         A = GroundSet(group, S)
         assert cayley_hypergraph(group, A, r).edges == tuple(sum_hypergraph_edges(moduli, S, r))
         assert best_translate(group, A, r) == oracle_best_translate(moduli, S, r, counts)
+
+
+@pytest.mark.parametrize("moduli", ((2,), (4,), (6,), (8,), (2, 2), (2, 3), (2, 4), (2, 2, 2)))
+def test_counts_above_half_match_oracle(moduli):
+    # r above N/2 is counted through complements, whose sums are the sum
+    # of all elements, nonzero when some modulus is even, less their own
+    group = CyclicProduct(moduli)
+    elems = list(group.elements())
+    rng = random.Random(f"{moduli}")
+    for r in range(1, len(elems) + 2):
+        counts = subset_sum_counts(moduli, r)
+        assert list(representation_counts(group, r).items()) == list(counts.items())
+        S = rng.sample(elems, rng.randrange(1, len(elems)))
+        got = best_translate(group, GroundSet(group, S), r)
+        assert got == oracle_best_translate(moduli, S, r, counts)
 
 
 @functools.cache

@@ -36,6 +36,17 @@ def test_interval_maximum_pair_free():
     assert contains_sumset(report.witness, Signature((2, 2))) is None
 
 
+# optimal Golomb ruler lengths G(k) for k = 1..7, OEIS A003022
+GOLOMB_LENGTHS = (0, 1, 3, 6, 11, 17, 25)
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_interval_pair_free_maximum_is_golomb_ruler_count(n):
+    # a pair-free subset of [1, n] is a Golomb ruler of length at most n - 1
+    want = max(k for k, g in enumerate(GOLOMB_LENGTHS, start=1) if g <= n - 1)
+    assert max_free_set(IntegerInterval(n), Signature((2, 2))).best_size == want
+
+
 def test_interval_maximum_other_signatures():
     report = max_free_set(IntegerInterval(5), Signature((2, 3)))
     assert report.best_size == 4

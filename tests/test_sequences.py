@@ -31,6 +31,14 @@ def test_greedy_pair_free_start():
     assert len(g) == 8
 
 
+def test_greedy_pair_free_is_mian_chowla():
+    # the Mian-Chowla sequence below 1000, OEIS A005282
+    assert greedy_sequence(SIG22, 1000).terms == (
+        1, 2, 4, 8, 13, 21, 31, 45, 66, 81, 97, 123, 148, 182, 204, 252, 290,
+        361, 401, 475, 565, 593, 662, 775, 822, 916, 970,
+    )
+
+
 def test_greedy_matches_difference_oracle():
     for limit in (10, 45, 120, 300):
         assert greedy_sequence(SIG22, limit).terms == tuple(greedy_sidon(limit))
