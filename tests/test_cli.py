@@ -401,6 +401,72 @@ def test_sequence_dyadic_csv_table(capsys):
     assert lines[2] == "2,2,0,2,false"
 
 
+DYADIC_ARGV = [
+    "sequence", "dyadic", "--signature", "2,2", "--epsilon", "0.1",
+    "--m-max", "3", "--seed", "0",
+]
+
+
+def test_sequence_dyadic_save_set_is_frozen(tmp_path, capsys):
+    # the free prefix lands in 1..4^(m_max+2) + 4^m_max, the last block's end
+    target = tmp_path / "dyadic.txt"
+    code, out, _ = run_cli(capsys, *DYADIC_ARGV, "--save-set", str(target))
+    assert code == 0
+    assert target.read_bytes() == b"#ambient interval n=1088\n257\n269\n"
+    assert (code, out) == run_cli(capsys, *DYADIC_ARGV)[:2]
+
+
+def test_sequence_greedy_save_set_is_frozen(tmp_path, capsys):
+    argv = ["sequence", "greedy", "--signature", "2,2", "--limit", "45"]
+    target = tmp_path / "greedy.txt"
+    code, out, _ = run_cli(capsys, *argv, "--save-set", str(target))
+    assert code == 0
+    assert target.read_bytes() == b"#ambient interval n=45\n1\n2\n4\n8\n13\n21\n31\n45\n"
+    assert (code, out) == run_cli(capsys, *argv)[:2]
+
+
+def test_sequence_dyadic_table_is_frozen(capsys):
+    # a nested dict (provenance) and two row lists (per_m, statistics)
+    code, out, _ = run_cli(capsys, *DYADIC_ARGV, "--format", "table")
+    assert code == 0
+    assert out.splitlines() == [
+        "signature: 2, 2",
+        "provenance:",
+        "  kind: dyadic",
+        "  epsilon: 0.1",
+        "  m_min: 1",
+        "  m_max: 3",
+        "  seed: 0",
+        "  alpha: 0.7166666666666667",
+        "experimental: false",
+        "per_m:",
+        "  m  S  N  retained  dense",
+        "  1  0  0  0         false",
+        "  2  2  0  2         false",
+        "  3  0  0  0         false",
+        "statistics:",
+        "  x     count  stat               ",
+        "  67    0      0.0                ",
+        "  271   2      0.2875553871468785 ",
+        "  1087  2      0.16039483122760118",
+        "size: 2",
+        "terms: 257, 269",
+    ]
+    assert out.endswith("269\n")
+
+
+def test_construct_random_csv_flattens_nested_sizes(capsys):
+    code, out, _ = run_cli(
+        capsys, "construct", "random", "--n", "200", "--signature", "2,2,2",
+        "--seed", "1", "--format", "csv",
+    )
+    assert code == 0
+    assert out == (
+        "n,signature,seed,p,sizes.S,sizes.bad,sizes.A\n"
+        "200,2;2;2,1,0.03146247376604567,5,0,5\n"
+    )
+
+
 def test_sequence_stats(tmp_path, capsys):
     s = write_interval_set(tmp_path / "mc.txt", 45, [1, 2, 4, 8, 13, 21, 31, 45])
     code, out, _ = run_cli(
@@ -490,6 +556,36 @@ def test_budget_env_variable(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "enumerate", "--signature", "2,2", "--n", "50")
     assert code == 2
     assert "LFREE_BUDGET" in err
+
+
+def test_budget_env_variable_leaves_cardinality_budget_alone(capsys, monkeypatch):
+    # --cardinality-budget defaults to 64 in the parser, so LFREE_BUDGET
+    # overrides only --max-nodes, --max-decompositions, --max-obstructions
+    # and --max-combinations
+    monkeypatch.setenv("LFREE_BUDGET", "1000000")
+    code, out, err = run_cli(capsys, "search", "--n", "65", "--signature", "2,2")
+    assert code == 3
+    assert out == ""
+    assert "ambient cardinality 65 exceeds search budget 64" in err
+
+
+def test_exit_code_on_bad_modulus_list(capsys):
+    code, out, err = run_cli(capsys, "search", "--moduli", "3,x", "--signature", "2,2")
+    assert code == 2
+    assert out == ""
+    assert "bad modulus list" in err
+
+
+def test_hypergraph_check_on_malformed_file_exits_2(tmp_path):
+    graph_file = tmp_path / "bad.graph"
+    graph_file.write_text("#hypergraph n=4 r=2\n0 x\n")
+    proc = run_module(
+        "hypergraph", "check", "--graph", str(graph_file), "--signature", "2,2"
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: line 2: bad edge line")
+    assert "Traceback" not in proc.stderr
 
 
 def test_out_writes_file(tmp_path, capsys):

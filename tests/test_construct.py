@@ -81,6 +81,11 @@ def test_progression_check_on_ternary_base_plus_one(n, extra):
     assert _has_progression(values) == has_progression(values)
 
 
+def test_behrend_rejects_non_positive_length():
+    with pytest.raises(InvalidInputError, match="interval length"):
+        behrend_set(0)
+
+
 def test_progression_free_block_is_rechecked(monkeypatch):
     monkeypatch.setattr(construct, "_digits01_values", lambda n: [0, 3, 1, 5])
     with pytest.raises(RuntimeError):

@@ -11,6 +11,7 @@ from sumsetfree import (
     GroundSet,
     IndexedMultiset,
     IntegerInterval,
+    InvalidInputError,
     InvalidSignatureError,
     PreconditionError,
     Signature,
@@ -463,6 +464,11 @@ def test_count_all_sumsets_small_values():
     assert count_all_sumsets(2, SIG22) == (0, 0)
     with pytest.raises(BudgetExceededError):
         count_all_sumsets(100, SIG222, budget=10**6)
+
+
+def test_count_all_sumsets_rejects_non_positive_n():
+    with pytest.raises(InvalidInputError, match="interval endpoint"):
+        count_all_sumsets(0, SIG22)
 
 
 def test_count_all_matches_direct_loops():

@@ -81,6 +81,32 @@ def test_hypergraph_parse_errors():
         parse_hypergraph_text("#hypergraph n=3 r=2\n0 x\n")
 
 
+def test_hypergraph_parse_skips_blank_and_comment_lines():
+    text = "\n# a comment\n#hypergraph n=4 r=2\n\n0 1\n   \n# another\n2 3\n"
+    assert parse_hypergraph_text(text) == Hypergraph(4, 2, ((0, 1), (2, 3)))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("#hypergraph n=3 r=2\n#hypergraph n=3 r=2\n", "line 2: duplicate hypergraph header"),
+        ("#hypergraph n=3\n", "line 1: bad hypergraph header"),
+        ("#hypergraph n=x r=2\n", "line 1: bad hypergraph header"),
+        ("", "missing hypergraph header"),
+        ("# only a comment\n\n", "missing hypergraph header"),
+    ],
+)
+def test_hypergraph_parse_header_errors(text, message):
+    with pytest.raises(StructureError, match=message):
+        parse_hypergraph_text(text)
+
+
+@pytest.mark.parametrize("header", ["#hypergraph n=0 r=2", "#hypergraph n=3 r=0"])
+def test_hypergraph_parse_rejects_empty_ranges(header):
+    with pytest.raises(InvalidInputError):
+        parse_hypergraph_text(header + "\n")
+
+
 def test_representation_counts_sum_to_binomial():
     for moduli in ((5,), (7,), (3, 4)):
         group = CyclicProduct(moduli)

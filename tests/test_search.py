@@ -356,6 +356,11 @@ def test_leading_upper_bound_values():
         upper_bound_leading(10, Signature((5,)))
 
 
+def test_leading_upper_bound_rejects_non_positive_n():
+    with pytest.raises(InvalidInputError, match="interval length"):
+        upper_bound_leading(0, Signature((2, 2)))
+
+
 def test_lower_bound_exponents():
     assert lower_bound_exponent(Signature((2, 2))) == Fraction(1, 3)
     assert lower_bound_exponent(Signature((2, 3))) == Fraction(2, 5)

@@ -83,6 +83,11 @@ def test_greedy_prefixes_are_free():
         assert contains_sumset(gs, sig) is None
 
 
+def test_greedy_rejects_non_positive_limit():
+    with pytest.raises(InvalidInputError, match="limit must be a positive integer"):
+        greedy_sequence(SIG22, 0)
+
+
 def test_prefix_validation():
     with pytest.raises(InvalidInputError):
         SequencePrefix(SIG22, (1, 1, 2), "x")
