@@ -12,8 +12,10 @@ writes to a file instead.  Set files use the text format documented in
 the core module, hypergraph files the one in the hypergraph module.
 Commands that consume randomness (construct random, sequence dyadic)
 require an explicit --seed and print byte-identical reports for equal
-arguments.  Budget-type defaults can be overridden globally through the
-LFREE_BUDGET environment variable; explicit flags still win.  --threads
+arguments.  The LFREE_BUDGET environment variable overrides the defaults
+of four budgets, --max-nodes, --max-decompositions, --max-obstructions
+and --max-combinations; explicit flags still win, and the search
+--cardinality-budget keeps its own default of 64.  --threads
 takes an integer of at least 1 (below that the command exits 2); it is
 accepted for forward compatibility and does not change results, as
 execution is sequential.
@@ -42,6 +44,7 @@ from .core import (
     PreconditionError,
     Signature,
     StructureError,
+    _element_json,
     normalize_signature,
     read_set_file,
     write_set_file,
@@ -127,10 +130,6 @@ def _budget(flag_value, fallback: int) -> int:
     if value < 0:
         raise InvalidInputError(f"{what} must be non-negative, got {value}")
     return value
-
-
-def _element_json(x):
-    return list(x) if isinstance(x, tuple) else x
 
 
 def _set_payload(gs: GroundSet) -> dict:
@@ -448,14 +447,11 @@ def _statistics_payload(prefix: SequencePrefix, xs) -> list:
 
 def _cmd_sequence_dyadic(args):
     sig = _parse_signature(args.signature)
-    params = DyadicParams.for_signature(
-        sig, args.epsilon, args.m_min, args.m_max, args.seed
-    )
+    params = DyadicParams(args.epsilon, args.m_min, args.m_max, args.seed)
     budget = _budget(args.max_obstructions, DEFAULT_OBSTRUCTION_BUDGET)
     report = dyadic_random_sequence(sig, params, max_obstructions=budget)
     if args.save_set:
-        ambient = IntegerInterval(4 ** (params.m_max + 2) + 4**params.m_max)
-        write_set_file(GroundSet(ambient, report.prefix.terms), args.save_set)
+        write_set_file(GroundSet(report.ambient, report.prefix.terms), args.save_set)
     per_m = [
         {
             "m": b.m,
@@ -475,7 +471,7 @@ def _cmd_sequence_dyadic(args):
             "m_min": params.m_min,
             "m_max": params.m_max,
             "seed": params.seed,
-            "alpha": params.alpha,
+            "alpha": report.alpha,
         },
         "experimental": report.experimental,
         "per_m": per_m,
@@ -520,7 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sumsetfree",
         description="Detection, search, and construction of sumset-free sets.",
-        epilog=f"The {BUDGET_ENV} environment variable overrides budget defaults.",
+        epilog=f"The {BUDGET_ENV} environment variable overrides the defaults of "
+        "--max-nodes, --max-decompositions, --max-obstructions and --max-combinations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -234,6 +234,11 @@ def elem_sub(a: Element, b: Element, ambient: Ambient) -> Element:
     return tuple((x - y) % m for x, y, m in zip(a, b, ambient.moduli))
 
 
+def _element_json(x: Element):
+    """An element as JSON encodes it: a product element as a list."""
+    return list(x) if isinstance(x, tuple) else x
+
+
 # ---------------------------------------------------------------------------
 # ground sets
 
@@ -432,10 +437,7 @@ class SumsetWitness:
         return all(v in ground_set for v in self.values())
 
     def to_dict(self) -> dict:
-        def enc(x):
-            return list(x) if isinstance(x, tuple) else x
-
         return {
-            "offset": enc(self.offset),
-            "summands": [[enc(x) for x in L] for L in self.summands],
+            "offset": _element_json(self.offset),
+            "summands": [[_element_json(x) for x in L] for L in self.summands],
         }

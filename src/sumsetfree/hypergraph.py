@@ -286,16 +286,12 @@ def contains_complete_rpartite(
             completions.setdefault(rest, set()).add(edge[i])
 
     def candidates(classes, skip: int) -> list:
-        pool = None
-        for transversal in itertools.product(
-            *(c for j, c in enumerate(classes) if j != skip)
-        ):
-            found = completions.get(tuple(sorted(transversal)))
-            if not found:
-                return []
-            pool = set(found) if pool is None else pool & found
-            if not pool:
-                return []
+        # Every transversal of the classes is an edge, so every lookup holds
+        # the skipped class's own vertices: none misses, the pool never empties.
+        others = (c for j, c in enumerate(classes) if j != skip)
+        pool = set.intersection(
+            *(completions[tuple(sorted(t))] for t in itertools.product(*others))
+        )
         used = {v for c in classes for v in c}
         return sorted(pool - used)
 

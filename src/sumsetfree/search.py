@@ -74,6 +74,7 @@ from .core import (
     InvalidSignatureError,
     PreconditionError,
     Signature,
+    _element_json,
     elem_add,
 )
 from .detect import _bitsets, _indices, _rooted, contains_sumset
@@ -97,14 +98,11 @@ class SearchReport:
     pruned_by: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        def enc(x):
-            return list(x) if isinstance(x, tuple) else x
-
         return {
             "ambient": self.ambient.describe(),
             "signature": list(self.signature.lengths),
             "F": self.best_size,
-            "witness": [enc(x) for x in self.witness.elements],
+            "witness": [_element_json(x) for x in self.witness.elements],
             "nodes": self.nodes_explored,
             "ms": round(self.runtime_s * 1000.0, 3),
         }

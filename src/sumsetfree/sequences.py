@@ -103,13 +103,13 @@ def greedy_sequence(sig: Signature, limit: int) -> SequencePrefix:
 
 @dataclass(frozen=True)
 class DyadicParams:
-    """Parameters of a dyadic run; alpha is fixed by signature and epsilon."""
+    """Parameters of a dyadic run; the run works alpha out from the
+    signature and epsilon."""
 
     epsilon: float
     m_min: int
     m_max: int
     seed: int
-    alpha: float
 
     def __post_init__(self):
         if not 0 < self.epsilon < inf:
@@ -121,15 +121,6 @@ class DyadicParams:
             raise InvalidInputError("m_min must be a positive integer")
         if not isinstance(self.m_max, int) or self.m_max < self.m_min:
             raise InvalidInputError("m_max must be an integer >= m_min")
-        if not 0 < self.alpha < inf:
-            raise InvalidInputError("alpha must be positive and finite")
-
-    @classmethod
-    def for_signature(
-        cls, sig: Signature, epsilon: float, m_min: int, m_max: int, seed: int
-    ) -> "DyadicParams":
-        alpha = (sig.total - sig.r) / (sig.product - 1) + epsilon / 2.0
-        return cls(epsilon, m_min, m_max, seed, alpha)
 
 
 @dataclass(frozen=True)
@@ -148,13 +139,14 @@ class BlockOutcome:
 
 @dataclass(frozen=True, eq=False)
 class DyadicReport:
-    """Full outcome of a dyadic run: the free prefix plus per-block counts."""
+    """Full outcome of a dyadic run: the free prefix plus per-block counts,
+    the density exponent alpha and the interval the prefix was freed in."""
 
-    signature: Signature
-    params: DyadicParams
     prefix: SequencePrefix
     blocks: tuple
     experimental: bool
+    alpha: float
+    ambient: IntegerInterval
 
 
 def _block_stream(seed: int, m: int) -> random.Random:
@@ -182,13 +174,7 @@ def dyadic_random_sequence(
     experimental in the report.  The same parameters always produce the
     same report, and the returned prefix is verified free.
     """
-    expected = DyadicParams.for_signature(
-        sig, params.epsilon, params.m_min, params.m_max, params.seed
-    ).alpha
-    if abs(params.alpha - expected) > 1e-12:
-        raise InvalidInputError(
-            "alpha does not match the signature; build params with for_signature"
-        )
+    alpha = (sig.total - sig.r) / (sig.product - 1) + params.epsilon / 2.0
     block_data = []
     sampled_union: list[int] = []
     for m in range(params.m_min, params.m_max + 1):
@@ -197,7 +183,7 @@ def dyadic_random_sequence(
         base = behrend_set(size)
         shifted = [start - 1 + b for b in base.elements]
         stream = _block_stream(params.seed, m)
-        kept = [v for v in shifted if stream.random() < v ** (-params.alpha)]
+        kept = [v for v in shifted if stream.random() < v ** (-alpha)]
         dense = len(base) >= size ** (1.0 - params.epsilon / 2.0)
         block_data.append((m, start, size, len(base), kept, dense))
         sampled_union.extend(kept)
@@ -224,5 +210,5 @@ def dyadic_random_sequence(
         f"seed={params.seed}",
     )
     return DyadicReport(
-        sig, params, prefix, tuple(blocks), not _is_supported_signature(sig)
+        prefix, tuple(blocks), not _is_supported_signature(sig), alpha, ambient
     )

@@ -216,9 +216,7 @@ def test_criterion_10_greedy_pair_free_prefix():
 def test_criterion_11_dyadic_runs_report_without_thresholds():
     for lengths in ((2, 2), (2, 3)):
         sig = Signature(lengths)
-        params = DyadicParams.for_signature(
-            sig, epsilon=0.1, m_min=1, m_max=6, seed=0
-        )
+        params = DyadicParams(epsilon=0.1, m_min=1, m_max=6, seed=0)
         report = dyadic_random_sequence(sig, params)
         assert not report.experimental
         assert [b.m for b in report.blocks] == list(range(1, 7))

@@ -193,7 +193,7 @@ def test_deletion_with_every_element_kept_matches_oracle(monkeypatch, lengths):
 def test_dyadic_with_every_element_kept_matches_oracle(monkeypatch, lengths, m_min, counts):
     monkeypatch.setattr(sequences, "_block_stream", lambda seed, m: _KeepAll())
     sig = Signature(lengths)
-    rep = dyadic_random_sequence(sig, DyadicParams.for_signature(sig, 0.1, m_min, 2, 0))
+    rep = dyadic_random_sequence(sig, DyadicParams(0.1, m_min, 2, 0))
     blocks = [
         [4 ** (m + 2) - 1 + b for b in behrend_set(4**m).elements]
         for m in range(m_min, 3)

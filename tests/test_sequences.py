@@ -132,32 +132,31 @@ def test_liminf_statistic_rejects_overflow():
 
 
 def test_dyadic_params():
-    p = DyadicParams.for_signature(SIG22, epsilon=0.1, m_min=1, m_max=6, seed=0)
-    assert p.alpha == pytest.approx(2 / 3 + 0.05)
     with pytest.raises(InvalidInputError):
-        DyadicParams(epsilon=0.1, m_min=0, m_max=4, seed=0, alpha=0.5)
+        DyadicParams(epsilon=0.1, m_min=0, m_max=4, seed=0)
     with pytest.raises(InvalidInputError):
-        DyadicParams(epsilon=0.1, m_min=1, m_max=0, seed=0, alpha=0.5)
+        DyadicParams(epsilon=0.1, m_min=1, m_max=0, seed=0)
     with pytest.raises(InvalidInputError):
-        DyadicParams(epsilon=-1.0, m_min=1, m_max=3, seed=0, alpha=0.5)
+        DyadicParams(epsilon=-1.0, m_min=1, m_max=3, seed=0)
     for vacuous in (2.0, 3.0, 1e308):
         with pytest.raises(InvalidInputError):
-            DyadicParams.for_signature(SIG22, epsilon=vacuous, m_min=1, m_max=3, seed=0)
+            DyadicParams(epsilon=vacuous, m_min=1, m_max=3, seed=0)
     for bad in (math.nan, math.inf):
         with pytest.raises(InvalidInputError):
-            DyadicParams.for_signature(SIG22, epsilon=bad, m_min=1, m_max=3, seed=0)
-        with pytest.raises(InvalidInputError):
-            DyadicParams(epsilon=0.1, m_min=1, m_max=3, seed=0, alpha=bad)
+            DyadicParams(epsilon=bad, m_min=1, m_max=3, seed=0)
 
 
-def test_dyadic_rejects_mismatched_alpha():
-    bad = DyadicParams(epsilon=0.1, m_min=1, m_max=4, seed=0, alpha=0.9)
-    with pytest.raises(InvalidInputError):
-        dyadic_random_sequence(SIG22, bad)
+def test_dyadic_alpha_comes_from_signature_and_epsilon():
+    # alpha = (S - r)/(P - 1) + epsilon/2
+    p = DyadicParams(epsilon=0.1, m_min=1, m_max=3, seed=0)
+    for lengths, alpha in (((2, 2), 2 / 3), ((2, 3), 3 / 5), ((2, 2, 2), 3 / 7)):
+        rep = dyadic_random_sequence(Signature(lengths), p)
+        assert rep.alpha == pytest.approx(alpha + 0.05)
+        assert rep.ambient == IntegerInterval(4**5 + 4**3)
 
 
 def test_dyadic_fixed_seed_run():
-    p = DyadicParams.for_signature(SIG22, epsilon=0.1, m_min=1, m_max=6, seed=0)
+    p = DyadicParams(epsilon=0.1, m_min=1, m_max=6, seed=0)
     rep = dyadic_random_sequence(SIG22, p)
     assert rep.prefix.terms == (257, 269)
     assert rep.prefix.provenance == "dyadic epsilon=0.1 m=1..6 seed=0"
@@ -173,7 +172,7 @@ def test_dyadic_fixed_seed_run():
 
 
 def test_dyadic_is_deterministic():
-    p = DyadicParams.for_signature(SIG22, epsilon=0.1, m_min=1, m_max=6, seed=0)
+    p = DyadicParams(epsilon=0.1, m_min=1, m_max=6, seed=0)
     a = dyadic_random_sequence(SIG22, p)
     b = dyadic_random_sequence(SIG22, p)
     assert a.prefix.terms == b.prefix.terms
@@ -181,8 +180,8 @@ def test_dyadic_is_deterministic():
 
 
 def test_dyadic_prefix_is_stable_under_extension():
-    short = DyadicParams.for_signature(SIG22, epsilon=0.1, m_min=1, m_max=4, seed=0)
-    long = DyadicParams.for_signature(SIG22, epsilon=0.1, m_min=1, m_max=6, seed=0)
+    short = DyadicParams(epsilon=0.1, m_min=1, m_max=4, seed=0)
+    long = DyadicParams(epsilon=0.1, m_min=1, m_max=6, seed=0)
     a = dyadic_random_sequence(SIG22, short)
     b = dyadic_random_sequence(SIG22, long)
     assert b.prefix.terms[: len(a.prefix.terms)] == a.prefix.terms
@@ -192,9 +191,7 @@ def test_dyadic_prefix_is_stable_under_extension():
 def test_dyadic_prefixes_are_free():
     for sig, seeds in ((SIG22, (0, 1, 6)), (SIG23, (0, 1))):
         for seed in seeds:
-            p = DyadicParams.for_signature(
-                sig, epsilon=0.1, m_min=1, m_max=6, seed=seed
-            )
+            p = DyadicParams(epsilon=0.1, m_min=1, m_max=6, seed=seed)
             rep = dyadic_random_sequence(sig, p)
             if not rep.prefix.terms:
                 continue
@@ -211,5 +208,5 @@ def test_dyadic_experimental_flag():
         ((3, 3), True),
     ):
         sig = Signature(lengths)
-        p = DyadicParams.for_signature(sig, epsilon=0.1, m_min=1, m_max=3, seed=0)
+        p = DyadicParams(epsilon=0.1, m_min=1, m_max=3, seed=0)
         assert dyadic_random_sequence(sig, p).experimental is flag
