@@ -172,24 +172,26 @@ def _cell(v) -> str:
     return str(v)
 
 
-def render_report(payload: dict, fmt: str, csv_spec=None) -> str:
-    """Render a report payload as json, csv, or an aligned table."""
+def render_report(payload: dict, fmt: str, csv_spec) -> str:
+    """Render a report payload as json, csv, or an aligned table.
+
+    csv_spec is ("row", columns), one row of those columns that the
+    flattened payload holds, or ("table", key, columns), a row per entry
+    of payload[key].
+    """
     if fmt == "json":
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        if csv_spec and csv_spec[0] == "table":
+        if csv_spec[0] == "table":
             _, key, columns = csv_spec
             writer.writerow(columns)
             for row in payload[key]:
                 writer.writerow([_cell(row.get(c, "")) for c in columns])
         else:
             flat = _flatten(payload)
-            if csv_spec and csv_spec[0] == "row":
-                columns = [c for c in csv_spec[1] if c in flat]
-            else:
-                columns = sorted(flat)
+            columns = [c for c in csv_spec[1] if c in flat]
             writer.writerow(columns)
             writer.writerow([_cell(flat[c]) for c in columns])
         return buf.getvalue()
@@ -230,7 +232,7 @@ def _table_lines(d: dict, lines: list, indent: int) -> None:
 def _cmd_detect(args):
     gs = read_set_file(args.set)
     if args.sidon:
-        return {"sidon": is_sidon(gs)}, None
+        return {"sidon": is_sidon(gs)}, ("row", ["sidon"])
     if args.hilbert is not None:
         free = is_hilbert_cube_free(gs, args.hilbert)
         return {"dimension": args.hilbert, "free": free}, ("row", ["dimension", "free"])

@@ -19,10 +19,11 @@ UTF-8 text, one element per line, ambient declared first in a header::
     #ambient product 4,4,4
 
 Interval elements are decimal integers; product elements comma-separated
-reduced residues ("1,3,2").  Remaining lines starting with '#' are
-comments; a malformed line is reported with its number.  Interval
-ambients normally carry {1, ..., n}; lo=0 extends the carrier down to zero
-for constructions that produce zero-based images.
+reduced residues ("1,3,2").  The header is the line whose first word is
+"#ambient"; other lines starting with '#' are comments.  A malformed line
+is reported with its number.  Interval ambients normally carry
+{1, ..., n}; lo=0 extends the carrier down to zero for constructions that
+produce zero-based images.
 """
 
 from __future__ import annotations
@@ -320,8 +321,7 @@ def _parse_int(token: str, lineno: int) -> int:
         raise StructureError(f"line {lineno}: {token!r} is not an integer") from None
 
 
-def _parse_ambient_header(rest: str, lineno: int) -> Ambient:
-    parts = rest.split()
+def _parse_ambient_header(parts: list[str], lineno: int) -> Ambient:
     if not parts:
         raise StructureError(f"line {lineno}: empty #ambient header")
     kind, args = parts[0], parts[1:]
@@ -353,12 +353,12 @@ def parse_set_text(text: str) -> GroundSet:
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("#ambient"):
-            if ambient is not None:
-                raise StructureError(f"line {lineno}: duplicate #ambient header")
-            ambient = _parse_ambient_header(line[len("#ambient"):].strip(), lineno)
-            continue
         if line.startswith("#"):
+            words = line.split()
+            if words[0] == "#ambient":
+                if ambient is not None:
+                    raise StructureError(f"line {lineno}: duplicate #ambient header")
+                ambient = _parse_ambient_header(words[1:], lineno)
             continue
         if ambient is None:
             raise StructureError(f"line {lineno}: element listed before #ambient header")

@@ -29,7 +29,8 @@ C(N, r), and each d, a divisor of r, costs O(N + |A|) tuple steps.
 
 Hypergraphs serialize to a small text format: a header line
 "#hypergraph n=<vertices> r=<uniformity>", then one line per edge with
-space-separated vertex indices.  Comment lines start with '#'.
+space-separated vertex indices.  The header is the line whose first word
+is "#hypergraph"; other lines starting with '#' are comments.
 """
 
 from __future__ import annotations
@@ -108,14 +109,18 @@ def parse_hypergraph_text(text: str) -> Hypergraph:
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("#hypergraph"):
+        words = line.split()
+        if words[0] == "#hypergraph":
             if n is not None:
                 raise StructureError(f"line {lineno}: duplicate hypergraph header")
             try:
-                fields = dict(tok.split("=", 1) for tok in line.split()[1:])
+                fields = dict(tok.split("=", 1) for tok in words[1:])
+                # exactly the keys n and r, each once
+                if fields.keys() != {"n", "r"} or len(words) != 3:
+                    raise ValueError
                 n = int(fields["n"])
                 r = int(fields["r"])
-            except (KeyError, ValueError) as exc:
+            except ValueError as exc:
                 raise StructureError(f"line {lineno}: bad hypergraph header") from exc
             continue
         if line.startswith("#"):
@@ -123,7 +128,7 @@ def parse_hypergraph_text(text: str) -> Hypergraph:
         if n is None:
             raise StructureError(f"line {lineno}: edge before hypergraph header")
         try:
-            edges.append(tuple(int(tok) for tok in line.split()))
+            edges.append(tuple(int(tok) for tok in words))
         except ValueError as exc:
             raise StructureError(f"line {lineno}: bad edge line {line!r}") from exc
     if n is None or r is None:

@@ -62,6 +62,14 @@ def test_detect_sidon(tmp_path, capsys):
     assert json.loads(out) == {"sidon": True}
 
 
+@pytest.mark.parametrize("elems, cell", [([1, 2, 5, 11], "true"), ([1, 2, 3], "false")])
+def test_detect_sidon_csv_is_frozen(tmp_path, capsys, elems, cell):
+    s = write_interval_set(tmp_path / "s.txt", 13, elems)
+    code, out, _ = run_cli(capsys, "detect", "--set", s, "--sidon", "--format", "csv")
+    assert code == 0
+    assert out == f"sidon\n{cell}\n"
+
+
 def test_detect_signature_with_witness(tmp_path, capsys):
     s = write_interval_set(tmp_path / "s.txt", 3, [1, 2, 3])
     code, out, _ = run_cli(capsys, "detect", "--set", s, "--signature", "2,2")
@@ -298,11 +306,14 @@ def test_detect_in_product_of_eight_small_moduli(tmp_path):
         "#ambient product 1000000000,1000000000\n999999999,999999999\n",
         "#ambient interval n=1000000000000000000\n999999999999999999\n",
         "#ambient product 1000000000,1000000000\n0,0\n0,1\n1,0\n1,1\n",
+        "#ambient interval n=2000000000\n1999999999\n",
+        "#ambient product 100000,100000\n0,0\n0,1\n1,0\n1,1\n",
     ],
 )
 def test_detect_in_too_wide_ambient_exits_on_budget(tmp_path, text):
-    # the first two need a set bitset of 10^18 bits, the last one kernel
-    # masks of as many
+    # the first two need a set bitset of 10^18 bits, the third kernel masks
+    # of as many; the fourth a set bitset of 2 * 10^9 bits, the last kernel
+    # masks of 10^10, all past the limit of 2^30
     s = tmp_path / "wide.txt"
     s.write_text(text, encoding="utf-8")
     proc = run_module("detect", "--set", str(s), "--signature", "2,2")
@@ -517,6 +528,31 @@ def test_exit_code_on_bounds_without_signature(capsys):
     assert out == ""
     assert err.startswith("error: ")
     assert "--signature" in err
+
+
+def test_exit_code_on_bounds_without_n(capsys):
+    code, out, err = run_cli(capsys, "bounds", "--signature", "2,2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: bounds needs --n or --overlap\n"
+
+
+def test_exit_code_on_best_translate_of_interval_set(tmp_path, capsys):
+    s = write_interval_set(tmp_path / "s.txt", 9, [1, 2, 4])
+    code, out, err = run_cli(capsys, "hypergraph", "best-translate", "--set", s, "--r", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: best-translate expects a product-group set file\n"
+
+
+def test_exit_code_on_sequence_stats_of_product_set(tmp_path, capsys):
+    s = write_group_set(tmp_path / "g.txt", (4, 4), [(0, 0), (1, 1)])
+    code, out, err = run_cli(
+        capsys, "sequence", "stats", "--signature", "2,2", "--set", s, "--x", "5"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: sequence stats expect an interval set file\n"
 
 
 def test_module_entry_point_runs():

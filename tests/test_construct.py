@@ -155,6 +155,11 @@ def test_deletion_validates_input():
         random_deletion(1, SIG222, 0)
 
 
+def test_deletion_retries_need_an_attempt():
+    with pytest.raises(InvalidInputError, match="max_attempts must be at least 1"):
+        deletion_with_retries(10**4, SIG222, 0, max_attempts=0)
+
+
 class _KeepAll(random.Random):
     """A stream whose every draw is 0.0, so every sampled element is kept."""
 

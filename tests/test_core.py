@@ -158,6 +158,34 @@ def test_parse_set_text_errors():
 
 
 @pytest.mark.parametrize(
+    "text",
+    [
+        "#ambients below\n#ambient interval n=9\n3\n",
+        "#ambient interval n=9\n#ambientish note\n3\n",
+    ],
+)
+def test_parse_set_text_header_is_its_first_word(text):
+    # only a line whose first word is #ambient is the header
+    gs = parse_set_text(text)
+    assert gs.ambient == IntegerInterval(9)
+    assert gs.elements == (3,)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("#ambient\n1\n", "line 1: empty #ambient header"),
+        ("# note\n#ambient interval lo=0\n1\n", "line 2: interval header missing n="),
+        ("# only a comment\n\n", "no #ambient header found"),
+        ("", "no #ambient header found"),
+    ],
+)
+def test_parse_set_text_header_messages(text, message):
+    with pytest.raises(StructureError, match=f"^{message}$"):
+        parse_set_text(text)
+
+
+@pytest.mark.parametrize(
     "text, lineno",
     [
         ("#ambient interval n=9\n1\nabc\n", 3),

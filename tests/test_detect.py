@@ -341,6 +341,22 @@ def test_is_sidon_matches_classical_sum_test():
         assert is_sidon(gs) == (contains_sumset(gs, SIG22) is None)
 
 
+def test_is_sidon_in_groups_matches_ordered_differences():
+    # Sidon in a group: the ordered pairs of distinct elements have
+    # distinct differences, counted here pair by pair
+    rng = random.Random(23)
+    for _ in range(300):
+        moduli = tuple(rng.choice((2, 3, 4, 5, 6)) for _ in range(rng.randint(1, 3)))
+        group = list(itertools.product(*(range(m) for m in moduli)))
+        elems = rng.sample(group, rng.randint(0, min(len(group), 7)))
+        diffs = [
+            tuple((x - y) % m for x, y, m in zip(a, b, moduli))
+            for a, b in itertools.permutations(elems, 2)
+        ]
+        gs = GroundSet(CyclicProduct(moduli), elems)
+        assert is_sidon(gs) == (len(set(diffs)) == len(diffs))
+
+
 def test_incremental_detection_agrees_with_full_rescan():
     rng = random.Random(19)
     for sig in (SIG22, SIG23, SIG222):
@@ -444,6 +460,13 @@ def test_degeneracy_and_progression_extraction():
         ap3_of_degenerate(((0, 1), (0, 2)))
     with pytest.raises(StructureError):
         is_degenerate(((0, 0), (0, 1)), iv)
+
+
+def test_progression_from_unsorted_summands_ascends():
+    # the sums 3 + 0 and 1 + 2 collide; the later choice (1, 2) has the
+    # smaller first element, so the two choices trade places
+    assert ap3_of_degenerate(((3, 1), (0, 2))) == (1, 3, 5)
+    assert ap3_of_degenerate(((1, 0), (1, 0))) == (0, 1, 2)
 
 
 def test_ap3_lies_inside_the_sumset_values():

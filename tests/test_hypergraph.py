@@ -94,11 +94,21 @@ def test_hypergraph_parse_skips_blank_and_comment_lines():
         ("#hypergraph n=x r=2\n", "line 1: bad hypergraph header"),
         ("", "missing hypergraph header"),
         ("# only a comment\n\n", "missing hypergraph header"),
+        ("#hypergraph n=3 r=2 x=9\n0 1\n", "line 1: bad hypergraph header"),
+        ("#hypergraph n=3 r=2 n=4\n0 1\n", "line 1: bad hypergraph header"),
+        ("#hypergraph n=3 r=2 r=2\n0 1\n", "line 1: bad hypergraph header"),
+        ("#hypergraph n=3 r\n0 1\n", "line 1: bad hypergraph header"),
     ],
 )
 def test_hypergraph_parse_header_errors(text, message):
     with pytest.raises(StructureError, match=message):
         parse_hypergraph_text(text)
+
+
+def test_hypergraph_header_is_its_first_word():
+    # only a line whose first word is #hypergraph is the header
+    text = "#hypergraphs below\n#hypergraph n=3 r=2\n#hypergraphish note\n0 1\n"
+    assert parse_hypergraph_text(text) == Hypergraph(3, 2, ((0, 1),))
 
 
 @pytest.mark.parametrize("header", ["#hypergraph n=0 r=2", "#hypergraph n=3 r=0"])

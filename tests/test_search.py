@@ -203,16 +203,23 @@ def test_symmetry_counter_on_elementary_two_groups(k):
 @pytest.mark.parametrize(
     "moduli",
     [(1,), (2,), (8,), (9,), (12,), (30,), (2, 4), (4, 2), (2, 6), (6, 2),
-     (3, 3), (4, 4), (3, 9), (9, 3), (2, 2, 2), (2, 2, 4), (2, 4, 2), (6, 3, 2)],
+     (3, 3), (4, 4), (3, 9), (9, 3), (2, 2, 2), (2, 2, 4), (2, 4, 2), (6, 3, 2),
+     (2, 8), (4, 8), (2, 2, 8), (8, 4), (2, 16), (4, 16), (27, 3), (25, 5)],
 )
 def test_orbit_leaders_match_automorphism_orbits(moduli):
     # sound: the least element of every orbit under all automorphisms is a
-    # leader, so the search never skips it; exact on these groups: H's
-    # orbits are the full ones
+    # leader, so the search never skips it; exact: two elements with the
+    # same Ulm sequences share an orbit, so no orbit has two leaders.  The
+    # oracle tries every automorphism.
     minima = {min(orbit) for orbit in automorphism_orbits(moduli).values()}
     leaders = set(search._orbit_leaders(moduli))
     assert minima <= leaders
     assert leaders == minima
+
+
+def test_orbit_leaders_of_many_mixed_moduli():
+    # 9 216 class representatives fall into 128 orbits
+    assert len(search._orbit_leaders((2, 3, 4, 5, 6, 7, 8, 9, 10))) == 128
 
 
 def _leader_indices(moduli):
