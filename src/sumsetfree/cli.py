@@ -276,11 +276,13 @@ def _cmd_search(args):
         ambient = IntegerInterval(args.n)
     else:
         ambient = _parse_moduli(args.moduli)
+    # a negative budget exits 2 even with --allow-large; the flag defaults
+    # to 64, so LFREE_BUDGET never reaches it
+    budget = _budget(args.cardinality_budget, None)
     report = max_free_set(
         ambient,
         sig,
-        cardinality_budget=_budget(args.cardinality_budget, None),
-        allow_large=args.allow_large,
+        cardinality_budget=None if args.allow_large else budget,
         max_nodes=_budget(args.max_nodes, None),
     )
     if args.save_set:

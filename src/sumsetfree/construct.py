@@ -49,6 +49,7 @@ from .core import (
     InvalidSignatureError,
     Signature,
     StructureError,
+    _check_bits,
 )
 from .detect import _value_sets, contains_sumset
 
@@ -60,6 +61,8 @@ def _digits01_values(n: int) -> list[int]:
     powers = [1]
     while powers[-1] * 3 <= n - 1:
         powers.append(powers[-1] * 3)
+    # the largest power is a value; below 3^19 every value is under 2^30
+    _check_bits(powers[-1])
     values = [0]
     for p in powers:
         values += [v + p for v in values if v + p <= n - 1]
@@ -107,7 +110,9 @@ def behrend_set(n: int) -> GroundSet:
     Behrend's sphere shells are not tried: they are smaller than this set
     at every size where they can be enumerated.  Before it is returned the
     result is re-checked, exactly, for 3-term progressions by the bitset
-    sweep of _has_progression, O(|result| * n) bit operations.
+    sweep of _has_progression, O(|result| * n) bit operations.  Past
+    n = 3^19 a value would index beyond the 2^30-bit limit, so such n raise
+    BudgetExceededError before any value is listed.
     """
     if not isinstance(n, int) or n < 1:
         raise InvalidInputError(f"interval length must be a positive integer, got {n!r}")
@@ -270,12 +275,15 @@ def zp3_construction(p: int) -> GroundSet:
     The set lives in (Z/(p-1))^3 and has exactly (p - 3)^2 elements, one
     per admissible (u, v) pair.  It contains no sumset of three pairs, and
     its intersections with translates of itself avoid repeated differences.
+    A group of more than 2^30 elements raises BudgetExceededError before
+    any triple is listed.
     """
     if not _is_prime(p) or p < 5:
         raise InvalidInputError(f"expected a prime >= 5, got {p!r}")
+    ambient = CyclicProduct((p - 1, p - 1, p - 1))
+    _check_bits(ambient.cardinality - 1)
     theta = primitive_root(p)
     dlog = {pow(theta, e, p): e for e in range(p - 1)}
-    ambient = CyclicProduct((p - 1, p - 1, p - 1))
     elements = []
     for u in range(2, p):
         for v in range(2, p):

@@ -23,7 +23,7 @@ reduced residues ("1,3,2").  The header is the line whose first word is
 "#ambient"; other lines starting with '#' are comments.  A malformed line
 is reported with its number.  Interval ambients normally carry
 {1, ..., n}; lo=0 extends the carrier down to zero for constructions that
-produce zero-based images.
+produce zero-based images.  Each header key may appear once.
 """
 
 from __future__ import annotations
@@ -235,6 +235,20 @@ def elem_sub(a: Element, b: Element, ambient: Ambient) -> Element:
     return tuple((x - y) % m for x, y, m in zip(a, b, ambient.moduli))
 
 
+def _grid(offset: Element, summands, ambient: Ambient) -> dict:
+    """The map from each 1-based index (i1, ..., ir) to offset + L1[i1-1]
+    + ... + Lr[ir-1], in lexicographic index order, built one summand at
+    a time with elem_add."""
+    grid = {(): offset}
+    for L in summands:
+        grid = {
+            idx + (i,): elem_add(v, x, ambient)
+            for idx, v in grid.items()
+            for i, x in enumerate(L, start=1)
+        }
+    return grid
+
+
 def _element_json(x: Element):
     """An element as JSON encodes it: a product element as a list."""
     return list(x) if isinstance(x, tuple) else x
@@ -246,6 +260,14 @@ def _element_json(x: Element):
 # Largest bitset, in bits, that a ground set or the detection kernel
 # builds (128 MiB); a set file can name an ambient far wider than memory.
 _MAX_BITS = 2**30
+
+
+def _check_bits(top: int) -> None:
+    """Raise BudgetExceededError unless a bitset can hold index top."""
+    if top >= _MAX_BITS:
+        raise BudgetExceededError(
+            f"element index {top} exceeds the bitset limit of {_MAX_BITS} bits"
+        )
 
 
 class GroundSet:
@@ -265,10 +287,7 @@ class GroundSet:
         object.__setattr__(self, "elements", tuple(sorted(index)))
         object.__setattr__(self, "_members", frozenset(index))
         top = max(index.values(), default=0)
-        if top >= _MAX_BITS:
-            raise BudgetExceededError(
-                f"element index {top} exceeds the bitset limit of {_MAX_BITS} bits"
-            )
+        _check_bits(top)
         buf = bytearray(top // 8 + 1)
         for i in index.values():
             buf[i >> 3] |= 1 << (i & 7)
@@ -326,18 +345,17 @@ def _parse_ambient_header(parts: list[str], lineno: int) -> Ambient:
         raise StructureError(f"line {lineno}: empty #ambient header")
     kind, args = parts[0], parts[1:]
     if kind == "interval":
-        n = None
-        lo = 1
+        fields = {}
         for tok in args:
-            if tok.startswith("n="):
-                n = _parse_int(tok[2:], lineno)
-            elif tok.startswith("lo="):
-                lo = _parse_int(tok[3:], lineno)
-            else:
+            key, eq, value = tok.partition("=")
+            if not eq or key not in ("n", "lo"):
                 raise StructureError(f"line {lineno}: unrecognized interval header token {tok!r}")
-        if n is None:
+            if key in fields:
+                raise StructureError(f"line {lineno}: repeated interval header key {key}=")
+            fields[key] = _parse_int(value, lineno)
+        if "n" not in fields:
             raise StructureError(f"line {lineno}: interval header missing n=")
-        return IntegerInterval(n, lo)
+        return IntegerInterval(fields["n"], fields.get("lo", 1))
     if kind == "product":
         if len(args) != 1:
             raise StructureError(f"line {lineno}: product header wants one modulus list")
@@ -423,10 +441,7 @@ class SumsetWitness:
 
     def values(self) -> tuple[Element, ...]:
         """Distinct sums of the decomposition, sorted."""
-        sums = {self.offset}
-        for L in self.summands:
-            sums = {elem_add(s, x, self.ambient) for s in sums for x in L}
-        return tuple(sorted(sums))
+        return tuple(sorted(set(_grid(self.offset, self.summands, self.ambient).values())))
 
     def value_multiset_size(self) -> int:
         return prod(len(L) for L in self.summands)

@@ -65,7 +65,7 @@ from .core import (
     Signature,
     StructureError,
     SumsetWitness,
-    elem_add,
+    _grid,
     elem_sub,
 )
 
@@ -324,11 +324,10 @@ def _rooted(bits: _Bitsets, mask: int, root: int, lengths: tuple[int, ...]) -> b
     # with a in mask (zeros elsewhere); root stays in every intersection,
     # so the last summand only needs l_r elements left.
     #
-    # Two exact shortcuts.  Every intersection meets yields is a subset of
+    # One exact shortcut: every intersection meets yields is a subset of
     # mask keeping needed elements, so a mask with fewer has no answer.
     # When the tail is the last summand alone, needed is l_r on both kinds
-    # of ambient, so the first intersection meets yields already holds the
-    # l_r elements the last level would ask for.
+    # of ambient, so the first intersection meets yields answers True.
     l, tail = lengths[0], lengths[1:]
     if not tail:
         return mask.bit_count() >= l
@@ -345,10 +344,7 @@ def _rooted(bits: _Bitsets, mask: int, root: int, lengths: tuple[int, ...]) -> b
     else:
         # the shifts a - root as one translate of the other members
         shifts = _indices(bits.minus(others, root))
-    found = bits.meets(mask, shifts, l - 1, needed)
-    if len(tail) == 1:
-        return next(found, None) is not None
-    for _, inter in found:
+    for _, inter in bits.meets(mask, shifts, l - 1, needed):
         if _rooted(bits, inter, root, tail):
             return True
     return False
@@ -406,74 +402,52 @@ class IndexedMultiset:
 
     @classmethod
     def from_witness(cls, witness: SumsetWitness) -> "IndexedMultiset":
-        sig = witness.signature
-        summands = [tuple(sorted(L)) for L in witness.summands]
-        values = {}
-        for idx in itertools.product(*(range(1, len(L) + 1) for L in summands)):
-            v = witness.offset
-            for pos, i in enumerate(idx):
-                v = elem_add(v, summands[pos][i - 1], witness.ambient)
-            values[idx] = v
-        return cls(witness.ambient, sig, values)
+        summands = [sorted(L) for L in witness.summands]
+        values = _grid(witness.offset, summands, witness.ambient)
+        return cls(witness.ambient, witness.signature, values)
 
 
 def verify_multiset(X: IndexedMultiset):
     """Decide whether the indexed family is a sumset evaluation.
 
-    Checks, for each axis, that the values along that axis (all other
-    indices held at 1) are pairwise distinct, and the sum relations
-    x_{1..1} + x_{1..1 is t} = x_{1..1 is 1..1} + x_{1..1 1 t} for every
-    axis position s < r, index is != 1, and nontrivial tail t.  On
-    success returns the reconstructed summands: the first un-normalized
-    (as read off the first axis), the rest zero-based.  Returns None when
-    any condition fails.
+    The family is one iff, for each axis, the values along that axis (all
+    other indices held at 1) are pairwise distinct, and the sum relations
+    x_{1..1} + x_{1..1 is t} = x_{1..1 is 1..1} + x_{1..1 1 t} hold for
+    every axis position s < r, index is != 1, and nontrivial tail t.
+
+    The relations are checked in one comparison: they hold exactly when
+    every entry less x_{1..1} equals the grid of the axes less x_{1..1},
+    x_{i1..ir} - x_{1..1} = sum over s of (x_{1..1 is 1..1} - x_{1..1}).
+    Both sides are zero at x_{1..1}.  If the relations hold, induct on
+    the position s of the first index above 1, from r down: an entry
+    whose other indices are all 1 lies on axis s and agrees, and
+    otherwise the relation at s splits x_{1..1 is t} - x_{1..1} into the
+    axis-s term and x_{1..1 1 t} - x_{1..1}, whose first index above 1
+    comes later.  Conversely, if every entry agrees, both sides of each
+    relation less 2 x_{1..1} are the same sum of axis terms.
+
+    On success returns the reconstructed summands: the first
+    un-normalized (as read off the first axis), the rest zero-based.
+    Returns None when any condition fails.
     """
-    sig = X.signature
-    lengths = sig.lengths
-    r = sig.r
+    lengths = X.signature.lengths
+    r = len(lengths)
     amb = X.ambient
     vals = X.values
 
-    def ones(k: int) -> tuple[int, ...]:
-        return (1,) * k
-
-    # axis distinctness: sum over s of C(ls, 2) pairwise conditions
-    for s in range(r):
-        axis = [
-            vals[ones(s) + (i,) + ones(r - s - 1)] for i in range(1, lengths[s] + 1)
-        ]
+    axes = []
+    for s, l in enumerate(lengths):
+        axis = [vals[(1,) * s + (i,) + (1,) * (r - s - 1)] for i in range(1, l + 1)]
         if len(set(axis)) != len(axis):
             return None
+        axes.append(tuple(axis))
 
-    base = vals[ones(r)]
-    # leading-ones sum relations: product - total + (r - 1) equations
-    for s in range(r - 1):
-        tails = itertools.product(*(range(1, l + 1) for l in lengths[s + 1 :]))
-        for t in tails:
-            if all(i == 1 for i in t):
-                continue
-            for i_s in range(2, lengths[s] + 1):
-                lhs = elem_add(base, vals[ones(s) + (i_s,) + t], amb)
-                rhs = elem_add(
-                    vals[ones(s) + (i_s,) + ones(r - s - 1)],
-                    vals[ones(s + 1) + t],
-                    amb,
-                )
-                if lhs != rhs:
-                    return None
-
-    first = tuple(
-        vals[(i,) + ones(r - 1)] for i in range(1, lengths[0] + 1)
-    )
-    rest = []
-    for s in range(1, r):
-        rest.append(
-            tuple(
-                elem_sub(vals[ones(s) + (i,) + ones(r - s - 1)], base, amb)
-                for i in range(1, lengths[s] + 1)
-            )
-        )
-    return (first,) + tuple(rest)
+    base = axes[0][0]
+    shifted = {idx: elem_sub(v, base, amb) for idx, v in vals.items()}
+    rest = [tuple(elem_sub(x, base, amb) for x in axis) for axis in axes]
+    if shifted != _grid(amb.zero, rest, amb):
+        return None
+    return (axes[0],) + tuple(rest[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -482,15 +456,12 @@ def verify_multiset(X: IndexedMultiset):
 
 def is_degenerate(summands, ambient: Ambient) -> bool:
     """Does the sumset take fewer than l1*...*lr distinct values?"""
-    sums = {ambient.zero}
-    full = 1
+    summands = [tuple(L) for L in summands]
     for L in summands:
-        L = tuple(L)
         if len(set(L)) != len(L) or len(L) < 2:
             raise StructureError(f"summand {L!r} must have >= 2 distinct elements")
-        full *= len(L)
-        sums = {elem_add(s, x, ambient) for s in sums for x in L}
-    return len(sums) < full
+    grid = _grid(ambient.zero, summands, ambient)
+    return len(set(grid.values())) < len(grid)
 
 
 def ap3_of_degenerate(summands) -> tuple[int, int, int]:

@@ -149,12 +149,14 @@ def write_hypergraph_file(graph: Hypergraph, path) -> None:
 
 
 def _check_subsets(N: int, r: int, max_combinations: int) -> None:
-    """r is a positive integer and the C(N, r) r-subsets fit the budget."""
+    """r is a positive integer and max(C(N, r), N) fits the budget: the
+    r-subsets, or for r >= N, where there is at most one, the N scores."""
     if not isinstance(r, int) or r < 1:
         raise InvalidInputError(f"uniformity must be positive, got {r!r}")
-    if comb(N, r) > max_combinations:
+    cost = max(comb(N, r), N)
+    if cost > max_combinations:
         raise BudgetExceededError(
-            f"{comb(N, r)} subsets exceed the combination budget {max_combinations}"
+            f"{cost} subsets exceed the combination budget {max_combinations}"
         )
 
 

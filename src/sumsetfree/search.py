@@ -114,21 +114,20 @@ def max_free_set(
     ambient: Ambient,
     sig: Signature,
     *,
-    cardinality_budget: int = DEFAULT_CARDINALITY_BUDGET,
-    allow_large: bool = False,
+    cardinality_budget: Optional[int] = DEFAULT_CARDINALITY_BUDGET,
     max_nodes: Optional[int] = None,
 ) -> SearchReport:
     """Exact maximum size of a sumset-free subset, with a witness.
 
     The default budget refuses ambients with more than 64 elements;
-    allow_large overrides it.  max_nodes caps the explored node count,
-    which includes the runs that fill an interval's bound table, and
-    raises BudgetExceededError when hit.  The search is deterministic:
+    cardinality_budget=None admits any.  max_nodes caps the explored
+    node count, which includes the runs that fill an interval's bound
+    table, and raises BudgetExceededError when hit.  The search is deterministic:
     the witness is the first maximum found in depth-first order with the
     carrier's first element fixed.
     """
     N = ambient.cardinality
-    if N > cardinality_budget and not allow_large:
+    if cardinality_budget is not None and N > cardinality_budget:
         raise BudgetExceededError(
             f"ambient cardinality {N} exceeds search budget {cardinality_budget}"
         )

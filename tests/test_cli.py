@@ -322,6 +322,34 @@ def test_detect_in_too_wide_ambient_exits_on_budget(tmp_path, text):
     assert "bitset limit" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("construct", "zp3", "--p", "100003"),
+        ("construct", "behrend", "--n", "10000000000000"),
+    ],
+)
+def test_construction_past_bitset_limit_exits_before_building(argv):
+    # refused before listing the (p - 3)^2 = 10^10 triples or the
+    # n^0.63 = 2.7 * 10^8 values
+    proc = run_module(*argv)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert "bitset limit" in proc.stderr
+
+
+def test_best_translate_with_r_at_least_the_group_order_exits_on_budget(tmp_path):
+    # C(N, r) is 1 at r = N, so the N scores are what the budget bounds
+    s = tmp_path / "g.txt"
+    s.write_text("#ambient product 1000000,1000000\n0,0\n", encoding="utf-8")
+    proc = run_module("hypergraph", "best-translate", "--set", str(s), "--r", "1000000000000")
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: 1000000000000 subsets exceed the combination budget 5000000\n"
+    )
+
+
 @pytest.mark.parametrize("moduli", ["40,40", ",".join(["2"] * 20)])
 def test_large_group_search_exits_on_node_budget(moduli):
     # a recursion per candidate index hit Python's recursion limit past
@@ -666,6 +694,8 @@ def test_exit_code_on_unwritable_out(tmp_path, capsys):
          "--max-obstructions", "-1"],
         ["hypergraph", "build", "--set", "SET", "--r", "3", "--max-combinations", "-1"],
         ["search", "--signature", "2,2", "--n", "5", "--cardinality-budget", "-5"],
+        ["search", "--signature", "2,2", "--n", "5", "--cardinality-budget", "-5",
+         "--allow-large"],
     ],
 )
 def test_exit_code_on_negative_budget(tmp_path, capsys, argv):

@@ -178,6 +178,8 @@ def test_parse_set_text_header_is_its_first_word(text):
         ("# note\n#ambient interval lo=0\n1\n", "line 2: interval header missing n="),
         ("# only a comment\n\n", "no #ambient header found"),
         ("", "no #ambient header found"),
+        ("#ambient interval n=3 n=40\n30\n", "line 1: repeated interval header key n="),
+        ("#ambient interval n=9 lo=0 lo=1\n1\n", "line 1: repeated interval header key lo="),
     ],
 )
 def test_parse_set_text_header_messages(text, message):

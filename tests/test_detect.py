@@ -16,9 +16,11 @@ from sumsetfree import (
     PreconditionError,
     Signature,
     StructureError,
+    SumsetWitness,
     ap3_of_degenerate,
     contains_sumset,
     count_all_sumsets,
+    elem_add,
     enumerate_sumsets,
     introduces_sumset,
     is_degenerate,
@@ -448,6 +450,47 @@ def test_multiset_round_trip_from_witnesses():
                 assert got is not None
                 assert got[0] == tuple(w.offset + d for d in w.summands[0])
                 assert got[1:] == w.summands[1:]
+
+
+def test_multiset_round_trip_in_product_groups():
+    rng = random.Random(7)
+    for moduli in ((4, 6), (3, 3, 3), (2, 2, 2, 2)):
+        group = CyclicProduct(moduli)
+        elems = [x for x in group.elements() if rng.random() < 0.6]
+        gs = GroundSet(group, elems)
+        for sig in (SIG22, SIG23, SIG222):
+            for w in itertools.islice(enumerate_sumsets(gs, sig), 5):
+                got = verify_multiset(IndexedMultiset.from_witness(w))
+                assert got is not None
+                assert got[0] == tuple(elem_add(w.offset, d, group) for d in w.summands[0])
+                assert got[1:] == w.summands[1:]
+
+
+@pytest.mark.parametrize(
+    "ambient, lengths, offset, summands",
+    [
+        (IntegerInterval(30), (2, 2), 3, ((0, 1), (0, 4))),
+        (IntegerInterval(30), (2, 2, 3), 1, ((0, 2), (0, 5), (0, 1, 9))),
+        (CyclicProduct((4, 6)), (2, 3), (1, 1), (((0, 0), (1, 3)), ((0, 0), (0, 1), (2, 5)))),
+        (CyclicProduct((2, 2, 2)), (2, 2, 2), (1, 0, 1), (((0, 0, 0), (1, 0, 0)),) * 3),
+    ],
+)
+def test_multiset_one_cell_perturbation_is_rejected(ambient, lengths, offset, summands):
+    # with r >= 2 every cell sits in a relation with three other cells
+    values = IndexedMultiset.from_witness(SumsetWitness(ambient, offset, summands)).values
+    sig = Signature(lengths)
+    assert verify_multiset(IndexedMultiset(ambient, sig, values)) is not None
+    bump = 1 if isinstance(ambient, IntegerInterval) else (1,) + (0,) * (len(offset) - 1)
+    for cell, v in values.items():
+        perturbed = {**values, cell: elem_add(v, bump, ambient)}
+        assert verify_multiset(IndexedMultiset(ambient, sig, perturbed)) is None, cell
+
+
+def test_multiset_wrong_typed_value_raises_with_one_summand():
+    sig = Signature((2,))
+    for ambient, good, bad in ((IntegerInterval(9), 1, (1,)), (CyclicProduct((4, 6)), (1, 1), 3)):
+        with pytest.raises(StructureError):
+            verify_multiset(IndexedMultiset(ambient, sig, {(1,): good, (2,): bad}))
 
 
 def test_degeneracy_and_progression_extraction():

@@ -147,23 +147,32 @@ def test_combination_budgets():
     z5, A, _ = z5_graph()
     with pytest.raises(BudgetExceededError):
         cayley_hypergraph(z5, A, 2, max_combinations=3)
-    # the budget bounds the r-subsets, not the (r-1)-subset heads walked
-    for moduli, r in (((5,), 2), ((3, 4), 3), ((2, 2, 2, 2), 1), ((3,), 4)):
+    # the budget bounds the r-subsets, not the (r-1)-subset heads walked,
+    # and at r >= N, where there is at most one r-subset, the N scores
+    for moduli, r in (((5,), 2), ((3, 4), 3), ((2, 2, 2, 2), 1), ((3,), 4), ((4,), 4)):
         group = CyclicProduct(moduli)
         zero = GroundSet(group, [group.zero])
-        limit = comb(group.cardinality, r)
+        limit = max(comb(group.cardinality, r), group.cardinality)
         for call in (cayley_hypergraph, best_translate):
-            if limit:
-                with pytest.raises(
-                    BudgetExceededError,
-                    match=f"^{limit} subsets exceed the combination budget {limit - 1}$",
-                ):
-                    call(group, zero, r, max_combinations=limit - 1)
+            with pytest.raises(
+                BudgetExceededError,
+                match=f"^{limit} subsets exceed the combination budget {limit - 1}$",
+            ):
+                call(group, zero, r, max_combinations=limit - 1)
             call(group, zero, r, max_combinations=limit)
         representation_counts(group, r, max_combinations=limit)
     for r in (0, 2.0):
         with pytest.raises(InvalidInputError):
             cayley_hypergraph(z5, A, r)
+
+
+def test_uniformity_above_the_group_order_counts_nothing():
+    group = CyclicProduct((2, 3))
+    A = GroundSet(group, [(0, 0), (1, 2)])
+    for r in (7, 10):
+        assert set(representation_counts(group, r).values()) == {0}
+        assert cayley_hypergraph(group, A, r).edge_count == 0
+        assert best_translate(group, A, r) == ((0, 0), 0, Fraction(0))
 
 
 def test_cayley_ambient_mismatch():

@@ -182,7 +182,7 @@ def test_group_search_matches_element_list_reference(moduli, lengths):
 
 def test_group_maximum_frozen_on_z7_squared():
     # frozen from the search without the automorphism rule: 971 288 nodes
-    report = max_free_set(CyclicProduct((7, 7)), Signature((2, 2)), allow_large=True)
+    report = max_free_set(CyclicProduct((7, 7)), Signature((2, 2)), cardinality_budget=None)
     assert report.best_size == 7
     assert report.witness.elements == ((0, 0), (0, 1), (1, 0), (1, 2), (2, 5), (5, 1), (5, 5))
     assert report.nodes_explored == 102696
@@ -336,7 +336,7 @@ def test_report_dict_shape():
 def test_cardinality_budget():
     with pytest.raises(BudgetExceededError):
         max_free_set(IntegerInterval(65), Signature((2, 2)))
-    report = max_free_set(IntegerInterval(70), Signature((9,)), allow_large=True)
+    report = max_free_set(IntegerInterval(70), Signature((9,)), cardinality_budget=None)
     assert report.best_size == 8
 
 
