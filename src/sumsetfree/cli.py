@@ -87,7 +87,6 @@ from .search import (
 )
 from .sequences import (
     DyadicParams,
-    SequencePrefix,
     counting_function,
     dyadic_random_sequence,
     greedy_sequence,
@@ -276,9 +275,11 @@ def _cmd_search(args):
         ambient = IntegerInterval(args.n)
     else:
         ambient = _parse_moduli(args.moduli)
-    # a negative budget exits 2 even with --allow-large; the flag defaults
-    # to 64, so LFREE_BUDGET never reaches it
-    budget = _budget(args.cardinality_budget, None)
+    # a negative budget exits 2 even with --allow-large; LFREE_BUDGET
+    # leaves it alone
+    budget = args.cardinality_budget
+    if budget < 0:
+        raise InvalidInputError(f"budget must be non-negative, got {budget}")
     report = max_free_set(
         ambient,
         sig,
@@ -300,9 +301,7 @@ def _cmd_bounds(args):
         a = read_set_file(args.a)
         b = read_set_file(args.b)
         x = read_set_file(args.x)
-        lhs, rhs = overlap_check(
-            a.elements, b.elements, x, args.r, ambient=x.ambient
-        )
+        lhs, rhs = overlap_check(a.elements, b.elements, x, args.r)
         payload = {
             "r": args.r,
             "lhs": str(lhs),
@@ -424,26 +423,24 @@ def _cmd_hypergraph_best_translate(args):
 def _cmd_sequence_greedy(args):
     sig = _parse_signature(args.signature)
     prefix = greedy_sequence(sig, args.limit)
-    if args.save_set:
-        gs = GroundSet(IntegerInterval(args.limit), prefix.terms)
-        write_set_file(gs, args.save_set)
+    _maybe_save(prefix, args.save_set)
     payload = {
         "signature": list(sig.lengths),
         "limit": args.limit,
         "size": len(prefix),
-        "terms": list(prefix.terms),
+        "terms": list(prefix.elements),
     }
     return payload, ("row", ["signature", "limit", "size"])
 
 
-def _statistics_payload(prefix: SequencePrefix, xs) -> list:
+def _statistics_payload(prefix: GroundSet, sig: Signature, xs) -> list:
     out = []
     for x in xs:
         out.append(
             {
                 "x": x,
                 "count": counting_function(prefix, x),
-                "stat": liminf_statistic(prefix, x),
+                "stat": liminf_statistic(prefix, sig, x),
             }
         )
     return out
@@ -454,8 +451,7 @@ def _cmd_sequence_dyadic(args):
     params = DyadicParams(args.epsilon, args.m_min, args.m_max, args.seed)
     budget = _budget(args.max_obstructions, DEFAULT_OBSTRUCTION_BUDGET)
     report = dyadic_random_sequence(sig, params, max_obstructions=budget)
-    if args.save_set:
-        write_set_file(GroundSet(report.ambient, report.prefix.terms), args.save_set)
+    _maybe_save(report.prefix, args.save_set)
     per_m = [
         {
             "m": b.m,
@@ -479,9 +475,9 @@ def _cmd_sequence_dyadic(args):
         },
         "experimental": report.experimental,
         "per_m": per_m,
-        "statistics": _statistics_payload(report.prefix, xs),
+        "statistics": _statistics_payload(report.prefix, sig, xs),
         "size": len(report.prefix),
-        "terms": list(report.prefix.terms),
+        "terms": list(report.prefix.elements),
     }
     return payload, ("table", "per_m", ["m", "S", "N", "retained", "dense"])
 
@@ -491,12 +487,13 @@ def _cmd_sequence_stats(args):
     gs = read_set_file(args.set)
     if not isinstance(gs.ambient, IntegerInterval):
         raise StructureError("sequence stats expect an interval set file")
-    prefix = SequencePrefix(sig, gs.elements, "from file")
+    if 0 in gs:  # an interval starts at 0 or 1
+        raise InvalidInputError("sequence terms must be positive integers")
     if not args.x:
         raise InvalidInputError("sequence stats need at least one --x")
     payload = {
         "signature": list(sig.lengths),
-        "statistics": _statistics_payload(prefix, args.x),
+        "statistics": _statistics_payload(gs, sig, args.x),
     }
     return payload, ("table", "statistics", ["x", "count", "stat"])
 

@@ -150,9 +150,17 @@ def write_hypergraph_file(graph: Hypergraph, path) -> None:
 
 def _check_subsets(N: int, r: int, max_combinations: int) -> None:
     """r is a positive integer and max(C(N, r), N) fits the budget: the
-    r-subsets, or for r >= N, where there is at most one, the N scores."""
+    r-subsets, or for r >= N, where there is at most one, the N scores.
+    C(N, r) >= 2^k for k = min(r, N - r) >= 1, so a k at or past the
+    budget's bit length is refused before the count is computed."""
     if not isinstance(r, int) or r < 1:
         raise InvalidInputError(f"uniformity must be positive, got {r!r}")
+    k = min(r, N - r)
+    if k >= max(1, max_combinations.bit_length()):
+        raise BudgetExceededError(
+            f"C({N}, {r}) >= 2^{k} subsets exceed the combination budget "
+            f"{max_combinations}"
+        )
     cost = max(comb(N, r), N)
     if cost > max_combinations:
         raise BudgetExceededError(

@@ -91,7 +91,6 @@ _ROOTED_MEMO_LIMIT = 2**16
 class SearchReport:
     """Outcome of a maximum free-set search."""
 
-    ambient: Ambient
     signature: Signature
     best_size: int
     witness: GroundSet
@@ -101,7 +100,7 @@ class SearchReport:
 
     def to_dict(self) -> dict:
         return {
-            "ambient": self.ambient.describe(),
+            "ambient": self.witness.ambient.describe(),
             "signature": list(self.signature.lengths),
             "F": self.best_size,
             "witness": [_element_json(x) for x in self.witness.elements],
@@ -137,9 +136,7 @@ def max_free_set(
         # free sets are exactly those with fewer elements than the summand
         k = min(N, sig.lengths[0] - 1)
         witness = GroundSet(ambient, (ambient.element_at(i) for i in range(k)))
-        return SearchReport(
-            ambient, sig, k, witness, 0, time.perf_counter() - start, {}
-        )
+        return SearchReport(sig, k, witness, 0, time.perf_counter() - start, {})
 
     bits = _bitsets(ambient)
     nodes = 0
@@ -207,7 +204,7 @@ def max_free_set(
     if contains_sumset(witness, sig) is not None:
         raise RuntimeError("internal error: reported witness is not free")
     return SearchReport(
-        ambient, sig, best_size, witness, nodes, time.perf_counter() - start, pruned
+        sig, best_size, witness, nodes, time.perf_counter() - start, pruned
     )
 
 
@@ -315,35 +312,30 @@ def sidon_refined_upper(n: int) -> float:
 # translate-intersection averaging
 
 
-def overlap_check(A, B, X, r: int, ambient: Ambient | None = None):
+def overlap_check(A, B, X: GroundSet, r: int):
     """Evaluate both sides of the averaging inequality for translates.
 
-    A and B are element collections, X a ground set (or collection) with
-    A + B inside X, verified up front.  Returns the exact pair
-    (lhs, rhs) as Fractions, where lhs averages |(A+x1) ∩ ... ∩ (A+xr)|
-    over r-element subsets {x1, ..., xr} of B and rhs is the falling
-    factorial binomial C(|A||B|/|X|, r).
+    A and B are element collections, X a ground set whose ambient the
+    translates are taken in, with A + B inside X, verified up front.  B
+    may hold shifts off the carrier, such as 0 in an interval from 1.
+    Returns the exact pair (lhs, rhs) as Fractions, where lhs averages
+    |(A+x1) ∩ ... ∩ (A+xr)| over r-element subsets {x1, ..., xr} of B
+    and rhs is the falling factorial binomial C(|A||B|/|X|, r).
     """
     if not isinstance(r, int) or r < 1:
         raise InvalidInputError(f"subset size r must be a positive integer, got {r!r}")
-    for obj in (A, B, X):
-        if isinstance(obj, GroundSet):
-            if ambient is not None and obj.ambient != ambient:
-                raise PreconditionError("mixed ambients among overlap arguments")
-            ambient = obj.ambient
-    if ambient is None:
-        raise InvalidInputError("ambient required when no argument is a GroundSet")
+    if not isinstance(X, GroundSet):
+        raise InvalidInputError("overlap check needs X as a GroundSet")
 
     a_elems = sorted(set(A))
     b_elems = sorted(set(B))
-    x_members = X.as_set() if isinstance(X, GroundSet) else frozenset(X)
-    if not a_elems or not b_elems or not x_members:
+    if not a_elems or not b_elems or not X:
         raise PreconditionError("overlap check needs nonempty A, B, X")
 
     translates = {}
     for b in b_elems:
-        shifted = frozenset(elem_add(a, b, ambient) for a in a_elems)
-        if not shifted <= x_members:
+        shifted = frozenset(elem_add(a, b, X.ambient) for a in a_elems)
+        if not shifted <= X.as_set():
             raise PreconditionError("A + B is not contained in X")
         translates[b] = shifted
 
@@ -356,8 +348,8 @@ def overlap_check(A, B, X, r: int, ambient: Ambient | None = None):
                 break
         total += len(inter)
 
-    lhs = Fraction(total, len(x_members))
-    sigma = Fraction(len(a_elems) * len(b_elems), len(x_members))
+    lhs = Fraction(total, len(X))
+    sigma = Fraction(len(a_elems) * len(b_elems), len(X))
     rhs = Fraction(1)
     for i in range(r):
         rhs *= sigma - i

@@ -1,5 +1,8 @@
 """Growing sumset-free sequences: greedy prefixes and dyadic random blocks.
 
+A sequence prefix is a finite set of positive integers, so both
+constructions return it as a GroundSet over the interval it was grown in.
+
 greedy_sequence scans 1, 2, 3, ... and keeps every integer that does not
 complete a forbidden sumset with the terms kept so far, using the
 detector's rooted search on the kept terms' index bitset.  For pair sums
@@ -21,10 +24,10 @@ often empty, and the counts are the observable trend.  Each block draws
 from its own deterministically derived stream, so prefixes agree when the
 block range grows.
 
-The statistic reported for a prefix at x is A(x) (x ln x)^(1/P') / x with
-A(x) the counting function and P' the product of all summand sizes but
-the last; bounded liminf of this quantity is the density benchmark for
-pair-sum signatures.
+The statistic reported for a prefix A at x is A(x) (x ln x)^(1/P') / x
+with A(x) the counting function and P' the product of all summand sizes
+but the last, which liminf_statistic takes from the signature; bounded
+liminf of this quantity is the density benchmark for pair-sum signatures.
 """
 
 from __future__ import annotations
@@ -44,37 +47,18 @@ from .construct import DEFAULT_OBSTRUCTION_BUDGET, _delete_maxima, behrend_set
 from .detect import _bitsets, _indices, _rooted
 
 
-@dataclass(frozen=True, eq=False)
-class SequencePrefix:
-    """A finite prefix of an increasing sumset-free integer sequence."""
-
-    signature: Signature
-    terms: tuple
-    provenance: str
-
-    def __post_init__(self):
-        terms = self.terms
-        if any(not isinstance(t, int) or t < 1 for t in terms):
-            raise InvalidInputError("sequence terms must be positive integers")
-        if list(terms) != sorted(set(terms)):
-            raise InvalidInputError("sequence terms must be strictly increasing")
-
-    def __len__(self) -> int:
-        return len(self.terms)
+def counting_function(A: GroundSet, x) -> int:
+    """Number of elements of A not exceeding x."""
+    return bisect_right(A.elements, x)
 
 
-def counting_function(prefix: SequencePrefix, x) -> int:
-    """Number of terms not exceeding x."""
-    return bisect_right(prefix.terms, x)
-
-
-def liminf_statistic(prefix: SequencePrefix, x) -> float:
+def liminf_statistic(A: GroundSet, sig: Signature, x) -> float:
     """Normalized count A(x) (x ln x)^(1/P') / x at the finite point x > 1."""
     if not 1 < x < inf:
         raise InvalidInputError(f"statistic needs a finite x > 1, got {x!r}")
-    pp = prefix.signature.prefix_product
+    pp = sig.prefix_product
     try:
-        stat = counting_function(prefix, x) * (x * log(x)) ** (1.0 / pp) / x
+        stat = counting_function(A, x) * (x * log(x)) ** (1.0 / pp) / x
     except OverflowError:  # an int x too large for a float
         stat = inf
     if not isfinite(stat):
@@ -82,7 +66,7 @@ def liminf_statistic(prefix: SequencePrefix, x) -> float:
     return stat
 
 
-def greedy_sequence(sig: Signature, limit: int) -> SequencePrefix:
+def greedy_sequence(sig: Signature, limit: int) -> GroundSet:
     """Terms up to limit of the greedy sequence avoiding the signature."""
     if not isinstance(limit, int) or limit < 1:
         raise InvalidInputError(f"limit must be a positive integer, got {limit!r}")
@@ -93,8 +77,7 @@ def greedy_sequence(sig: Signature, limit: int) -> SequencePrefix:
         grown = mask | 1 << i
         if not _rooted(bits, grown, i, sig.lengths):
             mask = grown
-    terms = tuple(map(ambient.element_at, _indices(mask)))
-    return SequencePrefix(sig, terms, f"greedy limit={limit}")
+    return GroundSet(ambient, map(ambient.element_at, _indices(mask)))
 
 
 # ---------------------------------------------------------------------------
@@ -139,14 +122,14 @@ class BlockOutcome:
 
 @dataclass(frozen=True, eq=False)
 class DyadicReport:
-    """Full outcome of a dyadic run: the free prefix plus per-block counts,
-    the density exponent alpha and the interval the prefix was freed in."""
+    """Full outcome of a dyadic run: the free prefix, a set over the
+    interval it was freed in, plus per-block counts and the density
+    exponent alpha."""
 
-    prefix: SequencePrefix
+    prefix: GroundSet
     blocks: tuple
     experimental: bool
     alpha: float
-    ambient: IntegerInterval
 
 
 def _block_stream(seed: int, m: int) -> random.Random:
@@ -203,12 +186,4 @@ def dyadic_random_sequence(
             )
         )
 
-    prefix = SequencePrefix(
-        sig,
-        free.elements,
-        f"dyadic epsilon={params.epsilon} m={params.m_min}..{params.m_max} "
-        f"seed={params.seed}",
-    )
-    return DyadicReport(
-        prefix, tuple(blocks), not _is_supported_signature(sig), alpha, ambient
-    )
+    return DyadicReport(free, tuple(blocks), not _is_supported_signature(sig), alpha)

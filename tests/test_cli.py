@@ -350,6 +350,20 @@ def test_best_translate_with_r_at_least_the_group_order_exits_on_budget(tmp_path
     )
 
 
+def test_best_translate_past_the_budget_bit_length_exits_at_once(tmp_path):
+    # C(N, r) >= 2^min(r, N - r), so the count need not be computed: it
+    # has 301 030 digits here
+    s = tmp_path / "g.txt"
+    s.write_text("#ambient product 1000000\n0\n", encoding="utf-8")
+    proc = run_module("hypergraph", "best-translate", "--set", str(s), "--r", "500000")
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: C(1000000, 500000) >= 2^500000 subsets exceed the combination "
+        "budget 5000000\n"
+    )
+
+
 @pytest.mark.parametrize("moduli", ["40,40", ",".join(["2"] * 20)])
 def test_large_group_search_exits_on_node_budget(moduli):
     # a recursion per candidate index hit Python's recursion limit past
@@ -571,6 +585,17 @@ def test_exit_code_on_best_translate_of_interval_set(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: best-translate expects a product-group set file\n"
+
+
+def test_exit_code_on_sequence_stats_of_non_positive_terms(tmp_path, capsys):
+    s = tmp_path / "z.txt"
+    s.write_text("#ambient interval n=50 lo=0\n0\n3\n", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "sequence", "stats", "--signature", "2,2", "--set", str(s), "--x", "5"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: sequence terms must be positive integers\n"
 
 
 def test_exit_code_on_sequence_stats_of_product_set(tmp_path, capsys):

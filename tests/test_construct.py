@@ -204,7 +204,7 @@ def test_dyadic_with_every_element_kept_matches_oracle(monkeypatch, lengths, m_m
         for m in range(m_min, 3)
     ]
     maxima = _oracle_maxima([v for block in blocks for v in block], lengths)
-    assert rep.prefix.terms == tuple(v for block in blocks for v in block if v not in maxima)
+    assert rep.prefix.elements == tuple(v for block in blocks for v in block if v not in maxima)
     assert [b.obstruction_count for b in rep.blocks] == counts
     for outcome, block in zip(rep.blocks, blocks):
         assert outcome.sampled_size == len(block)

@@ -391,8 +391,8 @@ def test_sidon_refined_upper_values():
 
 
 def test_overlap_check_fractions():
-    iv = IntegerInterval(8)
-    lhs, rhs = overlap_check([1, 2], [1, 2, 3], range(1, 9), 2, ambient=iv)
+    X = GroundSet(IntegerInterval(8), range(1, 9))
+    lhs, rhs = overlap_check([1, 2], [1, 2, 3], X, 2)
     assert (lhs, rhs) == (Fraction(1, 4), Fraction(-3, 32))
     assert lhs >= rhs
     iv6 = IntegerInterval(6)
@@ -402,22 +402,23 @@ def test_overlap_check_fractions():
 
 
 def test_overlap_check_preconditions():
-    iv = IntegerInterval(8)
+    X = GroundSet(IntegerInterval(8), range(1, 9))
     with pytest.raises(PreconditionError):
-        overlap_check([1, 2], [7, 8], range(1, 9), 2, ambient=iv)
+        overlap_check([1, 2], [7, 8], X, 2)
     with pytest.raises(PreconditionError):
-        overlap_check([], [1], range(1, 9), 2, ambient=iv)
+        overlap_check([], [1], X, 2)
     with pytest.raises(InvalidInputError):
-        overlap_check([1], [1], range(1, 9), 0, ambient=iv)
-    with pytest.raises(InvalidInputError):
-        overlap_check([1], [1], range(1, 9), 2)
+        overlap_check([1], [1], X, 0)
+    # the ambient comes from X alone
+    with pytest.raises(InvalidInputError, match="X as a GroundSet"):
+        overlap_check(GroundSet(IntegerInterval(8), [1]), [1], range(1, 9), 2)
 
 
 def test_overlap_inequality_can_fail_out_of_regime():
     # with |A||B|/|X| <= r - 2 the inequality has no content and can
     # genuinely reverse; the checker reports the two sides either way
-    iv = IntegerInterval(7)
-    lhs, rhs = overlap_check([1, 2], [0, 1, 2], range(1, 8), 3, ambient=iv)
+    X = GroundSet(IntegerInterval(7), range(1, 8))
+    lhs, rhs = overlap_check([1, 2], [0, 1, 2], X, 3)
     assert lhs == 0
     assert rhs == Fraction(8, 343)
     assert lhs < rhs

@@ -8,7 +8,6 @@ from sumsetfree import (
     GroundSet,
     IntegerInterval,
     InvalidInputError,
-    SequencePrefix,
     Signature,
     contains_sumset,
     counting_function,
@@ -26,14 +25,14 @@ SIG23 = Signature((2, 3))
 
 def test_greedy_pair_free_start():
     g = greedy_sequence(SIG22, 45)
-    assert g.terms == (1, 2, 4, 8, 13, 21, 31, 45)
-    assert g.provenance == "greedy limit=45"
+    assert g.elements == (1, 2, 4, 8, 13, 21, 31, 45)
+    assert g.ambient == IntegerInterval(45)
     assert len(g) == 8
 
 
 def test_greedy_pair_free_is_mian_chowla():
     # the Mian-Chowla sequence below 1000, OEIS A005282
-    assert greedy_sequence(SIG22, 1000).terms == (
+    assert greedy_sequence(SIG22, 1000).elements == (
         1, 2, 4, 8, 13, 21, 31, 45, 66, 81, 97, 123, 148, 182, 204, 252, 290,
         361, 401, 475, 565, 593, 662, 775, 822, 916, 970,
     )
@@ -41,12 +40,12 @@ def test_greedy_pair_free_is_mian_chowla():
 
 def test_greedy_matches_difference_oracle():
     for limit in (10, 45, 120, 300):
-        assert greedy_sequence(SIG22, limit).terms == tuple(greedy_sidon(limit))
+        assert greedy_sequence(SIG22, limit).elements == tuple(greedy_sidon(limit))
 
 
 def test_greedy_other_signatures():
-    assert greedy_sequence(SIG23, 8).terms == (1, 2, 3, 5, 8)
-    assert greedy_sequence(Signature((3,)), 10).terms == (1, 2)
+    assert greedy_sequence(SIG23, 8).elements == (1, 2, 3, 5, 8)
+    assert greedy_sequence(Signature((3,)), 10).elements == (1, 2)
 
 
 def test_greedy_matches_introduces_sumset_loop():
@@ -57,7 +56,7 @@ def test_greedy_matches_introduces_sumset_loop():
         for c in range(1, 201):
             if not introduces_sumset(terms, c, sig, ambient):
                 terms.append(c)
-        assert greedy_sequence(sig, 200).terms == tuple(terms), lengths
+        assert greedy_sequence(sig, 200).elements == tuple(terms), lengths
 
 
 @settings(max_examples=30, deadline=None)
@@ -67,7 +66,7 @@ def test_greedy_matches_introduces_sumset_loop():
 )
 def test_greedy_skips_only_integers_that_complete_a_sumset(lengths, limit):
     sig = Signature(lengths)
-    terms = greedy_sequence(sig, limit).terms
+    terms = greedy_sequence(sig, limit)
     ambient = IntegerInterval(limit)
     for c in range(1, limit + 1):
         if c not in terms:
@@ -78,23 +77,12 @@ def test_greedy_skips_only_integers_that_complete_a_sumset(lengths, limit):
 
 def test_greedy_prefixes_are_free():
     for sig in (SIG22, SIG23, Signature((2, 2, 2))):
-        g = greedy_sequence(sig, 60)
-        gs = GroundSet(IntegerInterval(60), g.terms)
-        assert contains_sumset(gs, sig) is None
+        assert contains_sumset(greedy_sequence(sig, 60), sig) is None
 
 
 def test_greedy_rejects_non_positive_limit():
     with pytest.raises(InvalidInputError, match="limit must be a positive integer"):
         greedy_sequence(SIG22, 0)
-
-
-def test_prefix_validation():
-    with pytest.raises(InvalidInputError):
-        SequencePrefix(SIG22, (1, 1, 2), "x")
-    with pytest.raises(InvalidInputError):
-        SequencePrefix(SIG22, (0, 3), "x")
-    with pytest.raises(InvalidInputError):
-        SequencePrefix(SIG22, (2, 2), "x")
 
 
 def test_counting_function():
@@ -107,28 +95,28 @@ def test_counting_function():
 
 def test_liminf_statistic():
     g = greedy_sequence(SIG22, 45)
-    got = liminf_statistic(g, 45)
+    got = liminf_statistic(g, SIG22, 45)
     assert got == pytest.approx(2.3267831840227657)
     want = 8 * math.sqrt(45 * math.log(45)) / 45
     assert got == pytest.approx(want)
     with pytest.raises(InvalidInputError):
-        liminf_statistic(g, 1.0)
+        liminf_statistic(g, SIG22, 1.0)
     for x in (math.nan, math.inf):
         with pytest.raises(InvalidInputError):
-            liminf_statistic(g, x)
+            liminf_statistic(g, SIG22, x)
 
 
 def test_liminf_statistic_rejects_overflow():
     # x ln x overflows a float at x = 1e308: inf for a positive count, nan
     # for a zero one
     g = greedy_sequence(SIG22, 45)
-    empty = SequencePrefix(SIG22, (), "empty")
+    empty = GroundSet(IntegerInterval(45))
     for prefix in (g, empty):
         with pytest.raises(InvalidInputError, match="overflows"):
-            liminf_statistic(prefix, 1e308)
+            liminf_statistic(prefix, SIG22, 1e308)
         with pytest.raises(InvalidInputError, match="overflows"):
-            liminf_statistic(prefix, 10**400)
-    assert liminf_statistic(g, 1e300) == 8 * math.sqrt(1e300 * math.log(1e300)) / 1e300
+            liminf_statistic(prefix, SIG22, 10**400)
+    assert liminf_statistic(g, SIG22, 1e300) == 8 * math.sqrt(1e300 * math.log(1e300)) / 1e300
 
 
 def test_dyadic_params():
@@ -152,14 +140,13 @@ def test_dyadic_alpha_comes_from_signature_and_epsilon():
     for lengths, alpha in (((2, 2), 2 / 3), ((2, 3), 3 / 5), ((2, 2, 2), 3 / 7)):
         rep = dyadic_random_sequence(Signature(lengths), p)
         assert rep.alpha == pytest.approx(alpha + 0.05)
-        assert rep.ambient == IntegerInterval(4**5 + 4**3)
+        assert rep.prefix.ambient == IntegerInterval(4**5 + 4**3)
 
 
 def test_dyadic_fixed_seed_run():
     p = DyadicParams(epsilon=0.1, m_min=1, m_max=6, seed=0)
     rep = dyadic_random_sequence(SIG22, p)
-    assert rep.prefix.terms == (257, 269)
-    assert rep.prefix.provenance == "dyadic epsilon=0.1 m=1..6 seed=0"
+    assert rep.prefix.elements == (257, 269)
     assert not rep.experimental
     assert [b.m for b in rep.blocks] == [1, 2, 3, 4, 5, 6]
     assert [b.block_start for b in rep.blocks] == [64, 256, 1024, 4096, 16384, 65536]
@@ -175,7 +162,7 @@ def test_dyadic_is_deterministic():
     p = DyadicParams(epsilon=0.1, m_min=1, m_max=6, seed=0)
     a = dyadic_random_sequence(SIG22, p)
     b = dyadic_random_sequence(SIG22, p)
-    assert a.prefix.terms == b.prefix.terms
+    assert a.prefix.elements == b.prefix.elements
     assert a.blocks == b.blocks
 
 
@@ -184,7 +171,7 @@ def test_dyadic_prefix_is_stable_under_extension():
     long = DyadicParams(epsilon=0.1, m_min=1, m_max=6, seed=0)
     a = dyadic_random_sequence(SIG22, short)
     b = dyadic_random_sequence(SIG22, long)
-    assert b.prefix.terms[: len(a.prefix.terms)] == a.prefix.terms
+    assert b.prefix.elements[: len(a.prefix)] == a.prefix.elements
     assert b.blocks[:4] == a.blocks[:4]
 
 
@@ -193,11 +180,7 @@ def test_dyadic_prefixes_are_free():
         for seed in seeds:
             p = DyadicParams(epsilon=0.1, m_min=1, m_max=6, seed=seed)
             rep = dyadic_random_sequence(sig, p)
-            if not rep.prefix.terms:
-                continue
-            top = max(rep.prefix.terms)
-            gs = GroundSet(IntegerInterval(top), rep.prefix.terms)
-            assert contains_sumset(gs, sig) is None
+            assert contains_sumset(rep.prefix, sig) is None
 
 
 def test_dyadic_experimental_flag():
