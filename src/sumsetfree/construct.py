@@ -42,6 +42,8 @@ from dataclasses import dataclass
 from math import log
 
 from .core import (
+    _MAX_BITS,
+    BudgetExceededError,
     CyclicProduct,
     GroundSet,
     IntegerInterval,
@@ -200,7 +202,7 @@ def _delete_maxima(A: GroundSet, sig: Signature, limit: int):
     forbidden sumset in A, one entry per value set, and A without them,
     re-checked free.  At most limit decompositions are enumerated."""
     value_sets = set(_value_sets(A, sig, limit))
-    maxima = [A.ambient.element_at(max(vs)) for vs in value_sets]
+    maxima = [A.ambient.element_at(vs.bit_length() - 1) for vs in value_sets]
     rest = GroundSet(A.ambient, A.as_set().difference(maxima))
     if contains_sumset(rest, sig) is not None:
         raise RuntimeError("internal error: deletion left a forbidden sumset")
@@ -332,7 +334,17 @@ def integer_l222_prime(n: int) -> int:
 def integer_l222_construction(n: int) -> GroundSet:
     """A subset of [0, n) of size (p - 3)^2 without three-summand pair sums,
     obtained by embedding the prime construction for the largest
-    admissible p."""
+    admissible p.
+
+    Some triple has last coordinate p - 2 (w = 1/theta), so the largest
+    image is at least 4 (p - 1)^2 (p - 2); when that passes the bitset
+    limit, BudgetExceededError is raised before any triple is listed."""
     p = integer_l222_prime(n)
+    floor = 4 * (p - 1) ** 2 * (p - 2)
+    if floor >= _MAX_BITS:
+        raise BudgetExceededError(
+            f"the p = {p} construction reaches index {floor} or more, past the "
+            f"bitset limit of {_MAX_BITS} bits"
+        )
     embedded = mixed_radix_embed(zp3_construction(p))
     return GroundSet(IntegerInterval(n - 1, lo=0), embedded.elements)

@@ -36,11 +36,12 @@ decompositions may share a value set, so counts of decompositions and of
 value sets are reported separately.  The kernel yields the earlier
 summands as shift tuples and the last one as the indices it reaches, its
 first index the offset; shifts of the last summand are taken only for a
-witness.  A value set is read off those indices, not off a witness: the
-sums of the earlier summands, formed once per last level, added to each
-chosen index with _Bitsets.add in a group and with + on an interval.
-Counting and the deletion step of the constructions use these index sets
-and never build element tuples.
+witness.  A value set is an index bitmask like every other set, read off
+those indices, not off a witness: the bitmask of the sums of the earlier
+summands, formed once per last level, is translated to each chosen index
+and the translates are ORed.  Counting and the deletion step of the
+constructions use these bitmasks, whose largest value is the bit length
+less one, and never build element tuples.
 """
 
 from __future__ import annotations
@@ -149,6 +150,10 @@ class _Bitsets:
                 mask = (up >> dj * stride) | ((mask ^ up) << (m - dj) * stride)
         return mask
 
+    def plus(self, mask: int, d: int) -> int:
+        """The set {i + d : i in mask}."""
+        return self.minus(mask, self.diff(d, 0))
+
     def diff(self, a: int, b: int) -> int:
         """The shift from index a to index b."""
         if self.digits is None:
@@ -248,28 +253,28 @@ def _witnesses(A: GroundSet, sig: Signature, limit: int | None = None) -> Iterat
 
 def _valued(A: GroundSet, sig: Signature, limit: int | None = None):
     """Yield (value set, decomposition) for each canonical decomposition,
-    in enumerate_sumsets' order and under its limit: the value set as a
-    frozenset of element indices, the decomposition as the kernel yields
-    it, for _witness_maker.
+    in enumerate_sumsets' order and under its limit: the value set as an
+    index bitmask, the decomposition as the kernel yields it, for
+    _witness_maker.
 
     Decompositions of one last level share their earlier summands, so the
-    sums of those are formed once per level, and each chosen index is
-    translated by them once per level."""
+    bitmask of the sums of those is formed once per level, and translated
+    to each chosen index once per level; a value set is the OR of the
+    translates of its chosen indices."""
     bits = _bitsets(A.ambient)
-    add = bits.add if bits.digits else operator.add
     level = None
     for decomposition in _budgeted(A, sig, limit):
         summands, chosen = decomposition
         if summands is not level:
-            level, sums, translates = summands, [0], {}
+            level, sums, translates = summands, 1, {}
             for L in summands:
-                sums = list({add(s, d) for s in sums for d in L})
-        values = set()
+                sums = functools.reduce(operator.or_, [bits.plus(sums, d) for d in L])
+        values = 0
         for x in chosen:
             if x not in translates:
-                translates[x] = [add(x, s) for s in sums]
-            values.update(translates[x])
-        yield frozenset(values), decomposition
+                translates[x] = bits.plus(sums, x)
+            values |= translates[x]
+        yield values, decomposition
 
 
 def _value_sets(A: GroundSet, sig: Signature, limit: int | None = None):

@@ -12,7 +12,10 @@ edges.
 The edges come from the heads of the r-subsets, their r-1 smallest
 indices, in itertools.combinations order: a head of sum s and largest
 index h extends to an edge by every j > h with s + j in A, the set bits
-above h of the detection kernel's bitset A - s.
+above h of the detection kernel's bitset A - s.  For 2r > N the same
+walk lists the (N - r)-subsets with sum in total - A, total the sum of
+the group, and takes their complements, so a head never has more than
+N/2 indices.
 
 The counts by sum need no walk.  For a partition L of r with l(L) parts
 of gcd d, y -> sum L_i y_i maps G^l(L) onto dG (aG + bG = gcd(a, b)G)
@@ -31,6 +34,14 @@ Hypergraphs serialize to a small text format: a header line
 "#hypergraph n=<vertices> r=<uniformity>", then one line per edge with
 space-separated vertex indices.  The header is the line whose first word
 is "#hypergraph"; other lines starting with '#' are comments.
+
+Edge lists are checked, read and written with no Python code per edge.
+Validation compares neighbours among the vertices of all edges laid end
+to end, and the list with itself shifted by one, and looks at an edge
+alone only to name the first that breaks a rule.  The parser converts
+each run of lines between '#' lines with one int pass and cuts the
+tokens into edges by r.  Writing formats each edge with one format
+string.
 """
 
 from __future__ import annotations
@@ -39,7 +50,7 @@ import bisect
 import functools
 import itertools
 import operator
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd, prod
@@ -72,44 +83,108 @@ class Hypergraph:
             raise InvalidInputError(f"vertex count must be positive, got {self.n!r}")
         if not isinstance(self.r, int) or self.r < 1:
             raise InvalidInputError(f"uniformity must be positive, got {self.r!r}")
-        # one pass: each edge strictly increasing, each strictly above the last
-        last = None
-        for edge in self.edges:
-            if len(edge) != self.r:
-                raise StructureError(f"edge {edge!r} is not {self.r}-uniform")
-            if not all(map(operator.lt, edge, edge[1:])):
-                raise StructureError(f"edge {edge!r} is not sorted and distinct")
-            if edge[0] < 0 or edge[-1] >= self.n:
-                raise StructureError(f"edge {edge!r} leaves the vertex range")
-            if last is not None and edge <= last:
-                if edge == last:
-                    raise StructureError(f"duplicate edge {edge!r}")
-                raise StructureError("edges must be listed in sorted order")
-            last = edge
+        fault = _edge_fault(self.edges, self.n, self.r)
+        if fault is not None:
+            raise StructureError(fault)
 
     @classmethod
     def from_edges(cls, n: int, r: int, edges: Iterable[Iterable[int]]) -> "Hypergraph":
-        normalized = {tuple(sorted(e)) for e in edges}
-        return cls(n, r, tuple(sorted(normalized)))
+        """The hypergraph of the distinct edges, each sorted.  A list that is
+        already canonical, as every written hypergraph file is, is validated
+        once and kept."""
+        edges = tuple(map(tuple, edges))
+        try:
+            return cls(n, r, edges)
+        except StructureError:
+            return cls(n, r, tuple(sorted(set(map(tuple, map(sorted, edges))))))
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
 
     def to_text(self) -> str:
-        lines = [f"#hypergraph n={self.n} r={self.r}"]
-        lines += [" ".join(str(v) for v in edge) for edge in self.edges]
+        edge = " ".join(["%d"] * self.r)
+        lines = [f"#hypergraph n={self.n} r={self.r}", *map(edge.__mod__, self.edges)]
         return "\n".join(lines) + "\n"
 
 
+def _first(flags, default: int) -> int:
+    """The position of the first true flag, or default."""
+    try:
+        return operator.indexOf(flags, True)
+    except ValueError:
+        return default
+
+
+def _edge_fault(edges: tuple, n: int, r: int) -> Optional[str]:
+    """The error for the first edge, in list order, that is not r-uniform,
+    not strictly increasing, outside 0..n-1 or not above the edge before it,
+    naming the first of those rules it breaks; None when every edge keeps
+    them.  Each rule is one pass over the list, or over the vertices of
+    its r-uniform prefix laid end to end, where column j is every r-th
+    vertex from j."""
+    count = len(edges)
+    uniform = _first(map(r.__ne__, map(len, edges)), count)
+    flat = list(itertools.chain.from_iterable(itertools.islice(edges, uniform)))
+    faults = [(uniform, 0)]
+    faults += [
+        (_first(map(operator.ge, flat[j::r], flat[j + 1 :: r]), count), 1) for j in range(r - 1)
+    ]
+    faults.append((_first(map(operator.gt, itertools.repeat(0), flat[::r]), count), 2))
+    faults.append((_first(map(operator.le, itertools.repeat(n), flat[r - 1 :: r]), count), 2))
+    later = itertools.islice(edges, 1, uniform)
+    faults.append((_first(map(operator.le, later, edges), count - 1) + 1, 3))
+    i, rule = min(faults)
+    if i >= count:
+        return None
+    edge = edges[i]
+    if rule == 0:
+        return f"edge {edge!r} is not {r}-uniform"
+    if rule == 1:
+        return f"edge {edge!r} is not sorted and distinct"
+    if rule == 2:
+        return f"edge {edge!r} leaves the vertex range"
+    if edge == edges[i - 1]:
+        return f"duplicate edge {edge!r}"
+    return "edges must be listed in sorted order"
+
+
 def parse_hypergraph_text(text: str) -> Hypergraph:
+    lines = text.splitlines()
+    # Only a line holding '#' can be the header or a comment.  The runs of
+    # other lines between them hold edges and blanks and are read in bulk,
+    # split once for the tokens and once for the sizes, so that no split
+    # line outlives its pass.
+    marked = itertools.compress(
+        itertools.count(), map(operator.contains, lines, itertools.repeat("#"))
+    )
     n = r = None
-    edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        words = line.split()
+    tokens, sizes, body = [], set(), []
+    start = 0
+    for end in itertools.chain(marked, [len(lines)]):
+        if end < len(lines) and not lines[end].lstrip().startswith("#"):
+            continue  # an edge line holding '#', which its run rejects
+        run = lines[start:end]
+        if n is None:
+            first = _first(map(bool, map(str.split, run)), None)
+            if first is not None:
+                raise StructureError(f"line {start + first + 1}: edge before hypergraph header")
+        else:
+            try:
+                tokens += map(int, itertools.chain.from_iterable(map(str.split, run)))
+            except ValueError:
+                for lineno, line in enumerate(run, start + 1):
+                    try:
+                        list(map(int, line.split()))
+                    except ValueError as exc:
+                        raise StructureError(
+                            f"line {lineno}: bad edge line {line.strip()!r}"
+                        ) from exc
+            sizes.update(map(len, map(str.split, run)))
+            body += run
+        if end == len(lines):
+            break
+        lineno, words = end + 1, lines[end].split()
         if words[0] == "#hypergraph":
             if n is not None:
                 raise StructureError(f"line {lineno}: duplicate hypergraph header")
@@ -122,17 +197,13 @@ def parse_hypergraph_text(text: str) -> Hypergraph:
                 r = int(fields["r"])
             except ValueError as exc:
                 raise StructureError(f"line {lineno}: bad hypergraph header") from exc
-            continue
-        if line.startswith("#"):
-            continue
-        if n is None:
-            raise StructureError(f"line {lineno}: edge before hypergraph header")
-        try:
-            edges.append(tuple(int(tok) for tok in words))
-        except ValueError as exc:
-            raise StructureError(f"line {lineno}: bad edge line {line!r}") from exc
+        start = end + 1  # past the header or a comment
     if n is None or r is None:
         raise StructureError("missing hypergraph header")
+    if sizes - {0} == {r}:
+        edges = zip(*[iter(tokens)] * r)
+    else:  # no edges, or from_edges names the first, in sorted order, of another size
+        edges = [tuple(map(int, line.split())) for line in body if line.strip()]
     return Hypergraph.from_edges(n, r, edges)
 
 
@@ -190,7 +261,7 @@ def _translate_scores(group, r: int, max_combinations: int, A=None) -> list:
         return [0] * N
     total = (0,) * len(moduli)
     if 2 * r > N:
-        r, total = N - r, tuple(N // m * comb(m, 2) % m for m in moduli)
+        r, total = N - r, _group_total(group)
     weights = Counter()  # g -> r! times the count of each t in dG
     for parts in _cycle_types(r, r):
         g = tuple(gcd(gcd(*parts), m) for m in moduli)
@@ -226,9 +297,11 @@ def cayley_hypergraph(
     """The r-uniform hypergraph with an edge per distinct r-subset summing
     into A.  Vertices are lexicographic element indices.
 
-    Each head, an (r-1)-subset of sum s, extends to an edge by every index
-    j above its own with s + j in A, read off the bitset A - s; heads in
-    lexicographic order and j ascending list the edges sorted.
+    For 2r <= N the edges are the r-subsets of sum in A, as _sum_subsets
+    lists them.  Above that an r-subset sums into A exactly when its
+    complement sums into total - A, total the sum of the whole group, so
+    the walk lists the N - r subsets instead, and their complements,
+    taken in reverse, are the edges in order.
     """
     if not isinstance(group, CyclicProduct):
         raise StructureError("sum hypergraphs are built over product groups")
@@ -237,12 +310,40 @@ def cayley_hypergraph(
     N = group.cardinality
     _check_subsets(N, r, max_combinations)
     bits = _bitsets(group)
+    if 2 * r <= N:
+        return Hypergraph(N, r, tuple(_sum_subsets(bits, A.bitmask, N, r)))
+    if r > N:
+        return Hypergraph(N, r, ())
+    total = group.index(_group_total(group))
+    target = sum(1 << bits.diff(a, total) for a in _indices(A.bitmask))  # total - A
+    vertices = tuple(range(N))
     edges = []
-    for head in itertools.combinations(range(N - 1), r - 1):
+    for subset in reversed(_sum_subsets(bits, target, N, N - r)):
+        cuts = (-1, *subset, N)
+        gaps = (vertices[a + 1 : b] for a, b in zip(cuts, cuts[1:]))
+        edges.append(tuple(itertools.chain.from_iterable(gaps)))
+    return Hypergraph(N, r, tuple(edges))
+
+
+def _sum_subsets(bits, target: int, N: int, k: int) -> list:
+    """The k-subsets of the indices 0..N-1 whose sum lies in the bitset
+    target, in lexicographic order.  Each head, an (k-1)-subset of sum s,
+    extends by every index j above its own with s + j in target, read off
+    the bitset target - s."""
+    if k == 0:
+        return [()] if target & 1 else []
+    subsets = []
+    for head in itertools.combinations(range(N - 1), k - 1):
         s = functools.reduce(bits.add, head[1:], head[0]) if head else 0
         first = head[-1] + 1 if head else 0
-        edges += [head + (j + first,) for j in _indices(bits.minus(A.bitmask, s) >> first)]
-    return Hypergraph(N, r, tuple(edges))
+        subsets += [head + (j + first,) for j in _indices(bits.minus(target, s) >> first)]
+    return subsets
+
+
+def _group_total(group: CyclicProduct) -> tuple:
+    """The sum of every element: each residue mod m occurs N / m times."""
+    N = group.cardinality
+    return tuple(N // m * comb(m, 2) % m for m in group.moduli)
 
 
 def best_translate(
@@ -283,10 +384,10 @@ def contains_complete_rpartite(
     Any such witness has an edge as a transversal, so the search seeds the
     classes with the vertices of one edge and grows them one vertex at a
     time; a new vertex is admissible when every transversal through it and
-    the vertices placed so far is an edge, which is read off precomputed
-    completion links of (r-1)-subsets of edges.  The scan is deterministic
-    (edges in sorted order, candidates ascending) and the first witness
-    found is returned, each class sorted.
+    the vertices placed so far is an edge, which is read off the completion
+    links of the (r-1)-subsets of edges, built a column of the edge list at
+    a time.  The scan is deterministic (edges in sorted order, candidates
+    ascending) and the first witness found is returned, each class sorted.
     """
     if sig.r != graph.r:
         raise InvalidInputError(
@@ -294,11 +395,15 @@ def contains_complete_rpartite(
         )
     r = graph.r
     lengths = sig.lengths
-    completions: dict = {}
-    for edge in graph.edges:
-        for i in range(r):
-            rest = edge[:i] + edge[i + 1 :]
-            completions.setdefault(rest, set()).add(edge[i])
+    # the completion link of each (r-1)-subset of an edge, one column at a time
+    def column(j: int):
+        return map(operator.itemgetter(j), graph.edges)
+
+    completions = defaultdict(set)
+    for i in range(r):
+        rests = zip(*map(column, range(i)), *map(column, range(i + 1, r)))
+        for rest, v in zip(rests if r > 1 else itertools.repeat(()), column(i)):
+            completions[rest].add(v)
 
     def candidates(classes, skip: int) -> list:
         # Every transversal of the classes is an edge, so every lookup holds

@@ -10,10 +10,17 @@ instances.
 from __future__ import annotations
 
 import itertools
+import operator
 
 import numpy as np
 
-from sumsetfree.core import IntegerInterval, StructureError, elem_add, elem_sub
+from sumsetfree.core import (
+    IntegerInterval,
+    InvalidInputError,
+    StructureError,
+    elem_add,
+    elem_sub,
+)
 
 
 def interval_decompositions(elems, lengths):
@@ -240,6 +247,79 @@ def subset_sum_counts(moduli, r):
     for combo in itertools.combinations(group, r):
         counts[_residue_sum(moduli, combo)] += 1
     return counts
+
+
+def hypergraph_edges(n, r, edges):
+    """The edges Hypergraph(n, r, edges) keeps, checked one edge at a time:
+    the first edge, in list order, that breaks a rule raises, with the
+    first rule it breaks."""
+    if not isinstance(n, int) or n < 1:
+        raise InvalidInputError(f"vertex count must be positive, got {n!r}")
+    if not isinstance(r, int) or r < 1:
+        raise InvalidInputError(f"uniformity must be positive, got {r!r}")
+    last = None
+    for edge in edges:
+        if len(edge) != r:
+            raise StructureError(f"edge {edge!r} is not {r}-uniform")
+        if not all(map(operator.lt, edge, edge[1:])):
+            raise StructureError(f"edge {edge!r} is not sorted and distinct")
+        if edge[0] < 0 or edge[-1] >= n:
+            raise StructureError(f"edge {edge!r} leaves the vertex range")
+        if last is not None and edge <= last:
+            if edge == last:
+                raise StructureError(f"duplicate edge {edge!r}")
+            raise StructureError("edges must be listed in sorted order")
+        last = edge
+    return tuple(edges)
+
+
+def normalized_hypergraph_edges(n, r, edges):
+    """The edges Hypergraph.from_edges keeps: each edge sorted, duplicates
+    dropped, the list sorted, then checked as hypergraph_edges does."""
+    normalized = {tuple(sorted(e)) for e in edges}
+    return hypergraph_edges(n, r, tuple(sorted(normalized)))
+
+
+def hypergraph_text(n, r, edges):
+    """The text format: the header, then one line per edge."""
+    lines = [f"#hypergraph n={n} r={r}"]
+    lines += [" ".join(str(v) for v in edge) for edge in edges]
+    return "\n".join(lines) + "\n"
+
+
+def parse_hypergraph_lines(text):
+    """(n, r, edges) of a hypergraph text, read one line at a time, with
+    the edges as normalized_hypergraph_edges keeps them."""
+    n = r = None
+    edges = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        words = line.split()
+        if words[0] == "#hypergraph":
+            if n is not None:
+                raise StructureError(f"line {lineno}: duplicate hypergraph header")
+            try:
+                fields = dict(tok.split("=", 1) for tok in words[1:])
+                if fields.keys() != {"n", "r"} or len(words) != 3:
+                    raise ValueError
+                n = int(fields["n"])
+                r = int(fields["r"])
+            except ValueError as exc:
+                raise StructureError(f"line {lineno}: bad hypergraph header") from exc
+            continue
+        if line.startswith("#"):
+            continue
+        if n is None:
+            raise StructureError(f"line {lineno}: edge before hypergraph header")
+        try:
+            edges.append(tuple(int(tok) for tok in words))
+        except ValueError as exc:
+            raise StructureError(f"line {lineno}: bad edge line {line!r}") from exc
+    if n is None or r is None:
+        raise StructureError("missing hypergraph header")
+    return n, r, normalized_hypergraph_edges(n, r, edges)
 
 
 def complete_rpartite_by_classes(n, r, edges, lengths):

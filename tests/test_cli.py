@@ -6,6 +6,7 @@ import re
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -336,6 +337,20 @@ def test_construction_past_bitset_limit_exits_before_building(argv):
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == ""
     assert "bitset limit" in proc.stderr
+
+
+def test_l222_past_bitset_limit_exits_before_building(capsys):
+    # p = 787: its 614 656 triples took seconds and some 300 MB before the
+    # first image past 2^30 was refused; 4 (p - 1)^2 (p - 2) bounds the
+    # largest image from below and is known from p alone
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "construct", "l222", "--n", "2000000000")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: the p = 787 construction reaches index 1939879440 or more, past "
+        "the bitset limit of 1073741824 bits\n"
+    )
 
 
 def test_best_translate_with_r_at_least_the_group_order_exits_on_budget(tmp_path):

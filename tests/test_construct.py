@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sumsetfree import (
+    BudgetExceededError,
     CyclicProduct,
     GroundSet,
     IntegerInterval,
@@ -278,6 +279,17 @@ def test_integer_construction_prime_choice():
     assert integer_l222_prime(10**4) == 13
     with pytest.raises(InvalidInputError):
         integer_l222_prime(255)
+
+
+def test_integer_construction_refused_from_its_prime():
+    # p = 643 is the last prime whose images fit (its largest is
+    # 1 057 612 157 < 2^30); at p = 647 some triple has last coordinate
+    # p - 2, so an image reaches 4 * 646^2 * 645 = 1 076 675 280 >= 2^30
+    n = 4 * 646**3
+    assert (integer_l222_prime(n - 1), integer_l222_prime(n)) == (643, 647)
+    assert 4 * 642**2 * 641 < 2**30
+    with pytest.raises(BudgetExceededError, match=r"p = 647 .* index 1076675280 or more"):
+        integer_l222_construction(n)
 
 
 def test_integer_construction_results():

@@ -141,7 +141,8 @@ def test_value_sets_match_oracle(A, lengths):
         moduli = ambient.moduli
         decomps = cyclic_decompositions(moduli, A.elements, lengths)
     want = Counter(
-        frozenset(map(ambient.index, vs)) for vs in decomposition_value_sets(decomps, moduli)
+        sum(1 << ambient.index(v) for v in vs)
+        for vs in decomposition_value_sets(decomps, moduli)
     )
     got = list(_value_sets(A, Signature(lengths)))
     assert len(got) == len(decomps)

@@ -1,10 +1,12 @@
 import functools
 import itertools
 import random
+import time
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sumsetfree import (
     BudgetExceededError,
@@ -25,7 +27,15 @@ from sumsetfree import (
     zp3_construction,
 )
 
-from oracles import complete_rpartite_by_classes, subset_sum_counts, sum_hypergraph_edges
+from oracles import (
+    complete_rpartite_by_classes,
+    hypergraph_edges,
+    hypergraph_text,
+    normalized_hypergraph_edges,
+    parse_hypergraph_lines,
+    subset_sum_counts,
+    sum_hypergraph_edges,
+)
 
 
 def z5_graph():
@@ -115,6 +125,128 @@ def test_hypergraph_header_is_its_first_word():
 def test_hypergraph_parse_rejects_empty_ranges(header):
     with pytest.raises(InvalidInputError):
         parse_hypergraph_text(header + "\n")
+
+
+def outcome(fn, *args):
+    """What a call gives: ("ok", result), or the type and message it raised."""
+    try:
+        return "ok", fn(*args)
+    except (InvalidInputError, StructureError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, r, edges): sometimes a canonical list with at most one fault
+    planted, sometimes any tuples of small integers (unsorted, repeated,
+    of mixed lengths, outside the vertices), and sometimes n or r invalid."""
+    n, r = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    if draw(st.sampled_from(range(10))) == 0:
+        n, r = draw(st.sampled_from([(0, r), (n, 0), (-1, r)]))
+    if draw(st.booleans()):
+        combos = list(itertools.combinations(range(max(n, 0)), max(r, 0)))
+        edges = sorted(draw(st.sets(st.sampled_from(combos), max_size=12))) if combos else []
+        if edges and draw(st.booleans()):
+            i = draw(st.integers(0, len(edges) - 1))
+            edge = list(edges[i])
+            fault = draw(st.sampled_from(["swap", "repeat", "unsort", "outside", "shorten"]))
+            if fault == "swap":
+                j = draw(st.integers(0, len(edges) - 1))
+                edges[i], edges[j] = edges[j], edges[i]
+            elif fault == "repeat":
+                edges.insert(i, edges[i])
+            elif fault == "unsort":
+                edges[i] = tuple(reversed(edge))
+            elif fault == "outside":
+                edges[i] = tuple(edge[:-1] + [n + draw(st.integers(0, 2))])
+            else:
+                edges[i] = tuple(edge[1:])
+    else:
+        vertex = st.integers(-2, 10)
+        edges = draw(st.lists(st.lists(vertex, max_size=5).map(tuple), max_size=12))
+    return n, r, tuple(edges)
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_lists())
+def test_validation_matches_the_per_edge_rules(case):
+    n, r, edges = case
+    assert outcome(lambda: Hypergraph(n, r, edges).edges) == outcome(
+        hypergraph_edges, n, r, edges
+    )
+    got = outcome(Hypergraph.from_edges, n, r, edges)
+    want = outcome(normalized_hypergraph_edges, n, r, edges)
+    assert (got[0], got[1].edges if got[0] == "ok" else got[1]) == want
+    if got[0] == "ok":
+        g = got[1]
+        assert g.to_text() == hypergraph_text(n, r, g.edges)
+        assert parse_hypergraph_text(g.to_text()) == g
+
+
+@st.composite
+def hypergraph_texts(draw):
+    """Hypergraph texts, mostly well formed: quiet lines, a header and
+    edge lines, with odd lines mixed in before and after the header."""
+    r = draw(st.integers(1, 3))
+    edge = st.lists(st.integers(0, 7), min_size=r, max_size=r)
+    quiet = st.sampled_from(["", "  ", "# note", "#hypergraphs note"])
+    odd = st.sampled_from(
+        ["#hypergraph n=7 r=2", "#hypergraph n=7", "0 x", "1 2 #3", "\t3\t4 ", "9", "-1 2 3"]
+    )
+    line = st.one_of(edge.map(lambda e: " ".join(map(str, e))), quiet)
+    if draw(st.booleans()):
+        line = st.one_of(line, line, odd)
+    lines = draw(st.lists(st.one_of(quiet, odd) if draw(st.booleans()) else quiet, max_size=3))
+    lines.append(f"#hypergraph n=7 r={r}")
+    lines += draw(st.lists(line, max_size=12))
+    return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines)
+
+
+@settings(max_examples=400, deadline=None)
+@given(hypergraph_texts())
+def test_parse_matches_the_line_by_line_reader(text):
+    got = outcome(parse_hypergraph_text, text)
+    want = outcome(parse_hypergraph_lines, text)
+    if got[0] == "ok":
+        got = ("ok", (got[1].n, got[1].r, got[1].edges))
+    assert got == want
+
+
+def deep_file(body_tail="", head=""):
+    """A header and 40 000 sorted 3-edges, with lines before and after."""
+    edges = itertools.islice(itertools.combinations(range(70), 3), 40_000)
+    body = "".join(f"{a} {b} {c}\n" for a, b, c in edges)
+    return head + "#hypergraph n=70 r=3\n" + body + body_tail
+
+
+@pytest.mark.parametrize(
+    "head, tail, message",
+    [
+        ("", "0 x 2\n", "line 40002: bad edge line '0 x 2'"),
+        ("", "69 68 67\n 1 2 #c \n", "line 40003: bad edge line '1 2 #c'"),
+        ("", "#hypergraph n=70 r=3\n", "line 40002: duplicate hypergraph header"),
+        ("", "# fine\n0 1 x\n#hypergraph n=70 r=3\n", "line 40003: bad edge line '0 1 x'"),
+        ("# c\n\n" * 20_000 + "0 1 2\n", "", "line 40001: edge before hypergraph header"),
+        ("\n" * 40_000 + "0 1 #2\n", "", "line 40001: edge before hypergraph header"),
+        ("", "5 6\n3 4 5 6\n", "edge (3, 4, 5, 6) is not 3-uniform"),
+        ("", "69 70 71\n0 1 2\n", "edge (69, 70, 71) leaves the vertex range"),
+    ],
+    ids=["token", "hash", "header", "token-first", "edge", "hash-edge", "size", "range"],
+)
+def test_parse_errors_deep_in_a_file(head, tail, message):
+    text = deep_file(tail, head)
+    with pytest.raises(StructureError) as got:
+        parse_hypergraph_text(text)
+    with pytest.raises(StructureError) as want:
+        parse_hypergraph_lines(text)
+    assert str(got.value) == str(want.value) == message
+
+
+def test_canonical_file_parses_to_its_edges():
+    text = deep_file()
+    g = parse_hypergraph_text(text)
+    assert g.edges == tuple(itertools.islice(itertools.combinations(range(70), 3), 40_000))
+    assert g.to_text() == text
 
 
 def test_representation_counts_sum_to_binomial():
@@ -246,6 +378,9 @@ def test_complete_rpartite_rank_one():
     assert contains_complete_rpartite(g, Signature((3,))) == ((0, 2, 3),)
     small = Hypergraph.from_edges(4, 1, [(1,)])
     assert contains_complete_rpartite(small, Signature((2,))) is None
+    for r in (1, 2, 3):
+        empty = Hypergraph(4, r, ())
+        assert contains_complete_rpartite(empty, Signature((2,) * r)) is None
 
 
 def test_complete_rpartite_rank_mismatch():
@@ -316,8 +451,9 @@ def test_sum_hypergraph_matches_oracle(moduli, r):
 
 @pytest.mark.parametrize("moduli", ((2,), (4,), (6,), (8,), (2, 2), (2, 3), (2, 4), (2, 2, 2)))
 def test_counts_above_half_match_oracle(moduli):
-    # r above N/2 is counted through complements, whose sums are the sum
-    # of all elements, nonzero when some modulus is even, less their own
+    # r above N/2 is counted, and its edges listed, through complements,
+    # whose sums are the sum of all elements, nonzero when some modulus is
+    # even, less their own
     group = CyclicProduct(moduli)
     elems = list(group.elements())
     rng = random.Random(f"{moduli}")
@@ -327,6 +463,24 @@ def test_counts_above_half_match_oracle(moduli):
         S = rng.sample(elems, rng.randrange(1, len(elems)))
         got = best_translate(group, GroundSet(group, S), r)
         assert got == oracle_best_translate(moduli, S, r, counts)
+        for T in (S, elems):
+            edges = cayley_hypergraph(group, GroundSet(group, T), r).edges
+            assert edges == tuple(sum_hypergraph_edges(moduli, T, r))
+
+
+def test_cayley_hypergraph_near_the_group_order_is_fast():
+    # each head of an r-subset cost r - 2 additions, some 4 * 10^6 at
+    # Z_2000, r = 1999; the complements are single elements
+    group = CyclicProduct((2000,))
+    A = GroundSet(group, [(x,) for x in range(0, 2000, 3)])
+    start = time.perf_counter()
+    g = cayley_hypergraph(group, A, 1999)
+    assert time.perf_counter() - start < 1.0
+    # an edge misses one vertex x, and its sum 0 + ... + 1999 - x = 1000 - x
+    # must be a multiple of 3 below 2000
+    missing = [x for x in range(2000) if (1000 - x) % 2000 % 3 == 0]
+    assert g.edge_count == len(missing) and all(len(e) == 1999 for e in g.edges)
+    assert [(set(range(2000)) - set(e)).pop() for e in g.edges] == missing[::-1]
 
 
 @functools.cache
