@@ -378,9 +378,11 @@ def test_complete_rpartite_rank_one():
     assert contains_complete_rpartite(g, Signature((3,))) == ((0, 2, 3),)
     small = Hypergraph.from_edges(4, 1, [(1,)])
     assert contains_complete_rpartite(small, Signature((2,))) is None
-    for r in (1, 2, 3):
-        empty = Hypergraph(4, r, ())
-        assert contains_complete_rpartite(empty, Signature((2,) * r)) is None
+
+
+@pytest.mark.parametrize("r", (1, 2, 3))
+def test_complete_rpartite_in_the_empty_graph(r):
+    assert contains_complete_rpartite(Hypergraph(4, r, ()), Signature((2,) * r)) is None
 
 
 def test_complete_rpartite_rank_mismatch():
@@ -451,9 +453,8 @@ def test_sum_hypergraph_matches_oracle(moduli, r):
 
 @pytest.mark.parametrize("moduli", ((2,), (4,), (6,), (8,), (2, 2), (2, 3), (2, 4), (2, 2, 2)))
 def test_counts_above_half_match_oracle(moduli):
-    # r above N/2 is counted, and its edges listed, through complements,
-    # whose sums are the sum of all elements, nonzero when some modulus is
-    # even, less their own
+    # r above N/2 is counted through complements, whose sums are the sum
+    # of all elements, nonzero when some modulus is even, less their own
     group = CyclicProduct(moduli)
     elems = list(group.elements())
     rng = random.Random(f"{moduli}")
@@ -463,9 +464,19 @@ def test_counts_above_half_match_oracle(moduli):
         S = rng.sample(elems, rng.randrange(1, len(elems)))
         got = best_translate(group, GroundSet(group, S), r)
         assert got == oracle_best_translate(moduli, S, r, counts)
-        for T in (S, elems):
-            edges = cayley_hypergraph(group, GroundSet(group, T), r).edges
-            assert edges == tuple(sum_hypergraph_edges(moduli, T, r))
+
+
+@pytest.mark.parametrize("moduli", ((2,), (4,), (6,), (8,), (2, 2), (2, 3), (2, 4), (2, 2, 2)))
+def test_edges_above_half_match_oracle(moduli):
+    # for 2r > N the edges are the complements of the (N - r)-subsets whose
+    # sums lie in total - A, listed in reverse
+    group = CyclicProduct(moduli)
+    elems = list(group.elements())
+    rng = random.Random(f"{moduli}")
+    for r in range(1, len(elems) + 2):
+        for S in (rng.sample(elems, rng.randrange(1, len(elems))), elems):
+            edges = cayley_hypergraph(group, GroundSet(group, S), r).edges
+            assert edges == tuple(sum_hypergraph_edges(moduli, S, r))
 
 
 def test_cayley_hypergraph_near_the_group_order_is_fast():
