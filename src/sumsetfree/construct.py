@@ -42,8 +42,6 @@ from dataclasses import dataclass
 from math import log
 
 from .core import (
-    _MAX_BITS,
-    BudgetExceededError,
     CyclicProduct,
     GroundSet,
     IntegerInterval,
@@ -340,11 +338,6 @@ def integer_l222_construction(n: int) -> GroundSet:
     image is at least 4 (p - 1)^2 (p - 2); when that passes the bitset
     limit, BudgetExceededError is raised before any triple is listed."""
     p = integer_l222_prime(n)
-    floor = 4 * (p - 1) ** 2 * (p - 2)
-    if floor >= _MAX_BITS:
-        raise BudgetExceededError(
-            f"the p = {p} construction reaches index {floor} or more, past the "
-            f"bitset limit of {_MAX_BITS} bits"
-        )
+    _check_bits(4 * (p - 1) ** 2 * (p - 2))
     embedded = mixed_radix_embed(zp3_construction(p))
     return GroundSet(IntegerInterval(n - 1, lo=0), embedded.elements)

@@ -103,8 +103,9 @@ class Hypergraph:
         return len(self.edges)
 
     def to_text(self) -> str:
-        edge = " ".join(["%d"] * self.r)
-        lines = [f"#hypergraph n={self.n} r={self.r}", *map(edge.__mod__, self.edges)]
+        lines = [f"#hypergraph n={self.n} r={self.r}"]
+        if self.edges:  # r may be far past what one line could hold
+            lines += map(" ".join(["%d"] * self.r).__mod__, self.edges)
         return "\n".join(lines) + "\n"
 
 
@@ -128,7 +129,8 @@ def _edge_fault(edges: tuple, n: int, r: int) -> Optional[str]:
     flat = list(itertools.chain.from_iterable(itertools.islice(edges, uniform)))
     faults = [(uniform, 0)]
     faults += [
-        (_first(map(operator.ge, flat[j::r], flat[j + 1 :: r]), count), 1) for j in range(r - 1)
+        (_first(map(operator.ge, flat[j::r], flat[j + 1 :: r]), count), 1)
+        for j in (range(r - 1) if flat else ())  # r may be far past any edge's length
     ]
     faults.append((_first(map(operator.gt, itertools.repeat(0), flat[::r]), count), 2))
     faults.append((_first(map(operator.le, itertools.repeat(n), flat[r - 1 :: r]), count), 2))
@@ -204,6 +206,7 @@ def parse_hypergraph_text(text: str) -> Hypergraph:
         edges = zip(*[iter(tokens)] * r)
     else:  # no edges, or from_edges names the first, in sorted order, of another size
         edges = [tuple(map(int, line.split())) for line in body if line.strip()]
+    del text, lines, body  # only the edges outlive the parse
     return Hypergraph.from_edges(n, r, edges)
 
 

@@ -347,10 +347,7 @@ def test_l222_past_bitset_limit_exits_before_building(capsys):
     code, out, err = run_cli(capsys, "construct", "l222", "--n", "2000000000")
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (3, "")
-    assert err == (
-        "error: the p = 787 construction reaches index 1939879440 or more, past "
-        "the bitset limit of 1073741824 bits\n"
-    )
+    assert err == "error: element index 1939879440 exceeds the bitset limit of 1073741824 bits\n"
 
 
 def test_best_translate_with_r_at_least_the_group_order_exits_on_budget(tmp_path):
@@ -690,6 +687,24 @@ def test_hypergraph_check_on_malformed_file_exits_2(tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: line 2: bad edge line")
     assert "Traceback" not in proc.stderr
+
+
+def test_hypergraph_with_huge_uniformity_exits_at_once(tmp_path):
+    # no work may grow with r when no edge is r-uniform
+    graph_file = tmp_path / "short.graph"
+    graph_file.write_text("#hypergraph n=3 r=1000000000000\n0 1\n")
+    proc = run_module("hypergraph", "check", "--graph", str(graph_file), "--signature", "2,2")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: edge (0, 1) is not 1000000000000-uniform\n"
+    s = tmp_path / "s.txt"
+    s.write_text("#ambient product 6\n1\n", encoding="utf-8")
+    saved = tmp_path / "g.graph"
+    proc = run_module(
+        "hypergraph", "build", "--set", str(s), "--r", "1000000000000", "--save-graph", str(saved)
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["edges"] == 0
+    assert saved.read_text() == "#hypergraph n=6 r=1000000000000\n"
 
 
 def test_out_writes_file(tmp_path, capsys):

@@ -288,7 +288,7 @@ def test_integer_construction_refused_from_its_prime():
     n = 4 * 646**3
     assert (integer_l222_prime(n - 1), integer_l222_prime(n)) == (643, 647)
     assert 4 * 642**2 * 641 < 2**30
-    with pytest.raises(BudgetExceededError, match=r"p = 647 .* index 1076675280 or more"):
+    with pytest.raises(BudgetExceededError, match="element index 1076675280 exceeds"):
         integer_l222_construction(n)
 
 

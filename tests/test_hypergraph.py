@@ -249,6 +249,24 @@ def test_canonical_file_parses_to_its_edges():
     assert g.to_text() == text
 
 
+def test_huge_uniformity_costs_nothing_per_unit_of_r():
+    # a graph of r far past any edge holds no edge; checking, writing and
+    # reading it, or refusing an edge too short for it, is one step per edge
+    # (an r small enough that work per unit of r fails the clock, not hangs)
+    r = 10**6
+    header = f"#hypergraph n=3 r={r}\n"
+    start = time.perf_counter()
+    empty = Hypergraph(3, r, ())
+    assert empty.to_text() == header
+    assert parse_hypergraph_text(header) == empty
+    for text in (header + "0 1\n", header + "0 1\n0 1 2\n"):
+        with pytest.raises(StructureError, match=f"edge \\(0, 1\\) is not {r}-uniform"):
+            parse_hypergraph_text(text)
+    group = CyclicProduct((6,))
+    assert cayley_hypergraph(group, GroundSet(group, [(1,)]), r).edges == ()
+    assert time.perf_counter() - start < 1.0
+
+
 def test_representation_counts_sum_to_binomial():
     for moduli in ((5,), (7,), (3, 4)):
         group = CyclicProduct(moduli)
