@@ -36,6 +36,7 @@ chains the two for the largest admissible prime.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 from dataclasses import dataclass
@@ -51,7 +52,7 @@ from .core import (
     StructureError,
     _check_bits,
 )
-from .detect import _value_sets, contains_sumset
+from .detect import _valued, contains_sumset
 
 DEFAULT_OBSTRUCTION_BUDGET = 10**6
 
@@ -199,7 +200,7 @@ def _delete_maxima(A: GroundSet, sig: Signature, limit: int):
     """(maxima, rest): the largest value of each distinct value set of a
     forbidden sumset in A, one entry per value set, and A without them,
     re-checked free.  At most limit decompositions are enumerated."""
-    value_sets = set(_value_sets(A, sig, limit))
+    value_sets = {values for values, _ in _valued(A, sig, limit)}
     maxima = [A.ambient.element_at(vs.bit_length() - 1) for vs in value_sets]
     rest = GroundSet(A.ambient, A.as_set().difference(maxima))
     if contains_sumset(rest, sig) is not None:
@@ -231,38 +232,26 @@ def deletion_with_retries(
 # algebraic construction in (Z/(p-1))^3
 
 
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    if m % 2 == 0:
-        return m == 2
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
-            return False
-        f += 2
-    return True
-
-
-def _prime_factors(m: int) -> list[int]:
-    factors = []
+def _prime_factors(m: int):
+    """Yield the distinct prime factors of m, ascending, by trial division;
+    none for m < 2.  The first is m itself exactly when m is prime, and
+    it comes as soon as the least factor is found."""
     f = 2
     while f * f <= m:
         if m % f == 0:
-            factors.append(f)
+            yield f
             while m % f == 0:
                 m //= f
         f += 1 if f == 2 else 2
     if m > 1:
-        factors.append(m)
-    return factors
+        yield m
 
 
 def primitive_root(p: int) -> int:
     """Smallest primitive root mod an odd prime p."""
-    if not _is_prime(p) or p < 3:
+    if next(_prime_factors(p), None) != p or p < 3:
         raise InvalidInputError(f"expected an odd prime, got {p!r}")
-    totient_factors = _prime_factors(p - 1)
+    totient_factors = list(_prime_factors(p - 1))
     for g in range(2, p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in totient_factors):
             return g
@@ -278,7 +267,7 @@ def zp3_construction(p: int) -> GroundSet:
     A group of more than 2^30 elements raises BudgetExceededError before
     any triple is listed.
     """
-    if not _is_prime(p) or p < 5:
+    if next(_prime_factors(p), None) != p or p < 5:
         raise InvalidInputError(f"expected a prime >= 5, got {p!r}")
     ambient = CyclicProduct((p - 1, p - 1, p - 1))
     _check_bits(ambient.cardinality - 1)
@@ -316,17 +305,20 @@ def mixed_radix_embed(A: GroundSet) -> GroundSet:
 
 
 def integer_l222_prime(n: int) -> int:
-    """Largest prime p with 4 (p - 1)^3 <= n; defined for n >= 256."""
+    """Largest prime p with 4 (p - 1)^3 <= n; defined for n >= 256.
+
+    p is the first prime at or below q = icbrt(n // 4) + 1, the least q
+    with 4 q^3 > n.  Past q = 2^20, where that scan stops being instant,
+    p >= 647, and BudgetExceededError names the image bound of p = 647,
+    4 * 646^2 * 645 = 1 076 675 280 >= 2^30, before any primality test."""
     if not isinstance(n, int) or n < 256:
         raise InvalidInputError(f"interval length must be an integer >= 256, got {n!r}")
-    best = None
-    q = 5
-    while 4 * (q - 1) ** 3 <= n:
-        if _is_prime(q):
-            best = q
-        q += 1
-    assert best is not None
-    return best
+    q = bisect.bisect(range(2**20 + 1), n // 4, key=lambda x: x**3)
+    if q > 2**20:
+        _check_bits(4 * 646**2 * 645)
+    while next(_prime_factors(q)) != q:
+        q -= 1
+    return q
 
 
 def integer_l222_construction(n: int) -> GroundSet:

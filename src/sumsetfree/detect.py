@@ -36,12 +36,12 @@ decompositions may share a value set, so counts of decompositions and of
 value sets are reported separately.  The kernel yields the earlier
 summands as shift tuples and the last one as the indices it reaches, its
 first index the offset; shifts of the last summand are taken only for a
-witness.  A value set is an index bitmask like every other set, read off
-those indices, not off a witness: the bitmask of the sums of the earlier
-summands, formed once per last level, is translated to each chosen index
-and the translates are ORed.  Counting and the deletion step of the
-constructions use these bitmasks, whose largest value is the bit length
-less one, and never build element tuples.
+witness.  Every caller reads the kernel through one budgeted walk,
+_valued, which pairs each decomposition with its value set, an index
+bitmask read off those indices, not off a witness.  Witnesses are built
+from the decompositions; counting and the deletion step of the
+constructions keep only the bitmasks, whose largest value is the bit
+length less one, and never build element tuples.
 """
 
 from __future__ import annotations
@@ -217,17 +217,6 @@ def _decompositions(bits: _Bitsets, mask: int, lengths: tuple[int, ...], summand
         yield from _decompositions(bits, inter, tail, summands + ((0,) + combo,))
 
 
-def _budgeted(A: GroundSet, sig: Signature, limit: int | None):
-    """_decompositions over A, raising BudgetExceededError past limit."""
-    found = _decompositions(_bitsets(A.ambient), A.bitmask, sig.lengths)
-    for count, decomposition in enumerate(found, start=1):
-        if limit is not None and count > limit:
-            raise BudgetExceededError(
-                f"decomposition enumeration exceeded limit of {limit}"
-            )
-        yield decomposition
-
-
 def _witness_maker(ambient: Ambient):
     """The function taking a kernel decomposition (earlier summands,
     chosen indices) to its SumsetWitness over ambient."""
@@ -245,17 +234,11 @@ def _witness_maker(ambient: Ambient):
     return witness
 
 
-def _witnesses(A: GroundSet, sig: Signature, limit: int | None = None) -> Iterator[SumsetWitness]:
-    witness = _witness_maker(A.ambient)
-    for decomposition in _budgeted(A, sig, limit):
-        yield witness(decomposition)
-
-
 def _valued(A: GroundSet, sig: Signature, limit: int | None = None):
-    """Yield (value set, decomposition) for each canonical decomposition,
-    in enumerate_sumsets' order and under its limit: the value set as an
-    index bitmask, the decomposition as the kernel yields it, for
-    _witness_maker.
+    """The one budgeted walk: yield (value set, decomposition) for each
+    canonical decomposition of A in the kernel's order, the value set as
+    an index bitmask, the decomposition for _witness_maker.  Past limit,
+    BudgetExceededError comes before the next value set is built.
 
     Decompositions of one last level share their earlier summands, so the
     bitmask of the sums of those is formed once per level, and translated
@@ -263,7 +246,12 @@ def _valued(A: GroundSet, sig: Signature, limit: int | None = None):
     translates of its chosen indices."""
     bits = _bitsets(A.ambient)
     level = None
-    for decomposition in _budgeted(A, sig, limit):
+    found = _decompositions(bits, A.bitmask, sig.lengths)
+    for count, decomposition in enumerate(found, start=1):
+        if limit is not None and count > limit:
+            raise BudgetExceededError(
+                f"decomposition enumeration exceeded limit of {limit}"
+            )
         summands, chosen = decomposition
         if summands is not level:
             level, sums, translates = summands, 1, {}
@@ -277,11 +265,6 @@ def _valued(A: GroundSet, sig: Signature, limit: int | None = None):
         yield values, decomposition
 
 
-def _value_sets(A: GroundSet, sig: Signature, limit: int | None = None):
-    """The value set of each canonical decomposition, as in _valued."""
-    return map(operator.itemgetter(0), _valued(A, sig, limit))
-
-
 def contains_sumset(A: GroundSet, sig: Signature) -> Optional[SumsetWitness]:
     """Search A for a sumset with the given signature.
 
@@ -290,7 +273,11 @@ def contains_sumset(A: GroundSet, sig: Signature) -> Optional[SumsetWitness]:
     singletons are free for every signature since each summand has at
     least two elements.
     """
-    return next(_witnesses(A, sig), None)
+    # the walk itself, not enumerate_sumsets, so that a count or trace of
+    # enumerate_sumsets covers enumeration alone
+    for _, decomposition in _valued(A, sig):
+        return _witness_maker(A.ambient)(decomposition)
+    return None
 
 
 def enumerate_sumsets(
@@ -302,7 +289,9 @@ def enumerate_sumsets(
     shift order; distinct decompositions may describe the same value set.
     With limit set, raises BudgetExceededError past that many yields.
     """
-    return _witnesses(A, sig, limit)
+    witness = _witness_maker(A.ambient)
+    for _, decomposition in _valued(A, sig, limit):
+        yield witness(decomposition)
 
 
 def introduces_sumset(
@@ -522,5 +511,5 @@ def count_all_sumsets(
             f"decomposition space {space} exceeds budget {budget}"
         )
     A = GroundSet(IntegerInterval(n), range(1, n + 1))
-    value_sets = Counter(_value_sets(A, sig))
+    value_sets = Counter(values for values, _ in _valued(A, sig))
     return sum(value_sets.values()), len(value_sets)

@@ -35,13 +35,13 @@ Hypergraphs serialize to a small text format: a header line
 space-separated vertex indices.  The header is the line whose first word
 is "#hypergraph"; other lines starting with '#' are comments.
 
-Edge lists are checked, read and written with no Python code per edge.
+Edge lists are checked and written with no Python code per edge.
 Validation compares neighbours among the vertices of all edges laid end
 to end, and the list with itself shifted by one, and looks at an edge
-alone only to name the first that breaks a rule.  The parser converts
-each run of lines between '#' lines with one int pass and cuts the
-tokens into edges by r.  Writing formats each edge with one format
-string.
+alone only to name the first that breaks a rule.  Writing formats each
+edge with one format string.  The reader goes one line at a time: it
+splits a line once into words and keeps an edge line's ints as one
+tuple.
 """
 
 from __future__ import annotations
@@ -152,42 +152,20 @@ def _edge_fault(edges: tuple, n: int, r: int) -> Optional[str]:
 
 
 def parse_hypergraph_text(text: str) -> Hypergraph:
-    lines = text.splitlines()
-    # Only a line holding '#' can be the header or a comment.  The runs of
-    # other lines between them hold edges and blanks and are read in bulk,
-    # split once for the tokens and once for the sizes, so that no split
-    # line outlives its pass.
-    marked = itertools.compress(
-        itertools.count(), map(operator.contains, lines, itertools.repeat("#"))
-    )
     n = r = None
-    tokens, sizes, body = [], set(), []
-    start = 0
-    for end in itertools.chain(marked, [len(lines)]):
-        if end < len(lines) and not lines[end].lstrip().startswith("#"):
-            continue  # an edge line holding '#', which its run rejects
-        run = lines[start:end]
-        if n is None:
-            first = _first(map(bool, map(str.split, run)), None)
-            if first is not None:
-                raise StructureError(f"line {start + first + 1}: edge before hypergraph header")
-        else:
+    edges = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        words = line.split()
+        if not words:
+            continue
+        if words[0][0] != "#":
+            if n is None:
+                raise StructureError(f"line {lineno}: edge before hypergraph header")
             try:
-                tokens += map(int, itertools.chain.from_iterable(map(str.split, run)))
-            except ValueError:
-                for lineno, line in enumerate(run, start + 1):
-                    try:
-                        list(map(int, line.split()))
-                    except ValueError as exc:
-                        raise StructureError(
-                            f"line {lineno}: bad edge line {line.strip()!r}"
-                        ) from exc
-            sizes.update(map(len, map(str.split, run)))
-            body += run
-        if end == len(lines):
-            break
-        lineno, words = end + 1, lines[end].split()
-        if words[0] == "#hypergraph":
+                edges.append(tuple(map(int, words)))
+            except ValueError as exc:
+                raise StructureError(f"line {lineno}: bad edge line {line.strip()!r}") from exc
+        elif words[0] == "#hypergraph":  # any other '#' line is a comment
             if n is not None:
                 raise StructureError(f"line {lineno}: duplicate hypergraph header")
             try:
@@ -199,14 +177,9 @@ def parse_hypergraph_text(text: str) -> Hypergraph:
                 r = int(fields["r"])
             except ValueError as exc:
                 raise StructureError(f"line {lineno}: bad hypergraph header") from exc
-        start = end + 1  # past the header or a comment
     if n is None or r is None:
         raise StructureError("missing hypergraph header")
-    if sizes - {0} == {r}:
-        edges = zip(*[iter(tokens)] * r)
-    else:  # no edges, or from_edges names the first, in sorted order, of another size
-        edges = [tuple(map(int, line.split())) for line in body if line.strip()]
-    del text, lines, body  # only the edges outlive the parse
+    del text  # only the edges outlive the parse
     return Hypergraph.from_edges(n, r, edges)
 
 

@@ -350,6 +350,16 @@ def test_l222_past_bitset_limit_exits_before_building(capsys):
     assert err == "error: element index 1939879440 exceeds the bitset limit of 1073741824 bits\n"
 
 
+@pytest.mark.parametrize("n", [10**21, 10**100])
+def test_l222_for_huge_n_exits_before_any_prime_search(capsys, n):
+    # every such n has p >= 647, whose images reach 4 * 646^2 * 645
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "construct", "l222", "--n", str(n))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == "error: element index 1076675280 exceeds the bitset limit of 1073741824 bits\n"
+
+
 def test_best_translate_with_r_at_least_the_group_order_exits_on_budget(tmp_path):
     # C(N, r) is 1 at r = N, so the N scores are what the budget bounds
     s = tmp_path / "g.txt"
@@ -642,6 +652,34 @@ def test_exit_code_on_budget(capsys):
     )
     assert code == 3
     assert "budget" in err or "exceed" in err
+
+
+def test_enumerate_set_budget_boundary(tmp_path, capsys):
+    s = write_interval_set(tmp_path / "s.txt", 6, range(1, 7))
+    k = len(list(sumsetfree.enumerate_sumsets(read_set_file(s), sumsetfree.Signature((2, 2)))))
+    argv = ["enumerate", "--set", s, "--signature", "2,2", "--max-decompositions"]
+    code, out, _ = run_cli(capsys, *argv, str(k))
+    assert code == 0
+    assert json.loads(out)["decompositions"] == k
+    code, out, err = run_cli(capsys, *argv, str(k - 1))
+    assert (code, out) == (3, "")
+    assert err == f"error: decomposition enumeration exceeded limit of {k - 1}\n"
+
+
+def test_construct_random_obstruction_budget_boundary(capsys):
+    # seed 2689 samples all of the base {1, 2, 4, 5} = 1 + {0, 1} + {0, 3}
+    # of n = 5, so the deletion step has decompositions to count
+    sig = sumsetfree.Signature((2, 2))
+    sampled = sumsetfree.random_deletion(5, sig, 2689).sampled
+    k = len(list(sumsetfree.enumerate_sumsets(sampled, sig)))
+    assert k > 0
+    argv = ["construct", "random", "--n", "5", "--signature", "2,2", "--seed", "2689"]
+    code, out, _ = run_cli(capsys, *argv, "--max-obstructions", str(k))
+    assert code == 0
+    assert json.loads(out)["sizes"]["S"] == len(sampled)
+    code, out, err = run_cli(capsys, *argv, "--max-obstructions", str(k - 1))
+    assert (code, out) == (3, "")
+    assert err == f"error: decomposition enumeration exceeded limit of {k - 1}\n"
 
 
 def test_budget_env_variable(capsys, monkeypatch):

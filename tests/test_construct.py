@@ -292,6 +292,14 @@ def test_integer_construction_refused_from_its_prime():
         integer_l222_construction(n)
 
 
+def test_integer_construction_prime_scan_is_capped():
+    # the scan down from q = icbrt(n // 4) + 1 runs up to q = 2^20; past it
+    # p >= 647 anyway, and the refusal names that prime's bound
+    assert integer_l222_prime(4 * 2**60 - 1) == 1048573
+    with pytest.raises(BudgetExceededError, match="element index 1076675280 exceeds"):
+        integer_l222_prime(4 * 2**60)
+
+
 def test_integer_construction_results():
     c = integer_l222_construction(256)
     assert c.elements == (73, 147, 154, 210)

@@ -30,7 +30,7 @@ from sumsetfree import (
     zp3_construction,
 )
 
-from sumsetfree.detect import _Bitsets, _bitsets, _rooted, _value_sets
+from sumsetfree.detect import _Bitsets, _bitsets, _rooted, _valued
 
 from oracles import (
     cube3_sum_relations,
@@ -86,6 +86,22 @@ def test_enumeration_budget():
     with pytest.raises(BudgetExceededError):
         list(enumerate_sumsets(gs, SIG22, limit=5))
     assert len(list(enumerate_sumsets(gs, SIG22, limit=10**6))) > 5
+
+
+def test_enumeration_budget_boundary():
+    # a limit of k admits all k decompositions; at k - 1 the first k - 1
+    # witnesses come out before the refusal
+    gs = interval_set(list(range(1, 7)))
+    full = list(enumerate_sumsets(gs, SIG22))
+    k = len(full)
+    assert k > 1
+    assert list(enumerate_sumsets(gs, SIG22, limit=k)) == full
+    got = []
+    message = f"^decomposition enumeration exceeded limit of {k - 1}$"
+    with pytest.raises(BudgetExceededError, match=message):
+        for w in enumerate_sumsets(gs, SIG22, limit=k - 1):
+            got.append(w)
+    assert got == full[:-1]
 
 
 def test_detector_returns_first_enumerated():
@@ -144,7 +160,7 @@ def test_value_sets_match_oracle(A, lengths):
         sum(1 << ambient.index(v) for v in vs)
         for vs in decomposition_value_sets(decomps, moduli)
     )
-    got = list(_value_sets(A, Signature(lengths)))
+    got = [values for values, _ in _valued(A, Signature(lengths))]
     assert len(got) == len(decomps)
     assert Counter(got) == want
 
