@@ -265,12 +265,14 @@ def zp3_construction(p: int) -> GroundSet:
     per admissible (u, v) pair.  It contains no sumset of three pairs, and
     its intersections with translates of itself avoid repeated differences.
     A group of more than 2^30 elements raises BudgetExceededError before
-    any triple is listed.
+    p is tested for primality, whose trial division would run for as long
+    as sqrt(p) steps take, so such a p is refused even when composite.
     """
+    if isinstance(p, int):
+        _check_bits((p - 1) ** 3 - 1)
     if next(_prime_factors(p), None) != p or p < 5:
         raise InvalidInputError(f"expected a prime >= 5, got {p!r}")
     ambient = CyclicProduct((p - 1, p - 1, p - 1))
-    _check_bits(ambient.cardinality - 1)
     theta = primitive_root(p)
     dlog = {pow(theta, e, p): e for e in range(p - 1)}
     elements = []

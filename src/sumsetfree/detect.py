@@ -19,6 +19,15 @@ The branch-and-bound search and the greedy sequences keep their growing
 set as such a bitset too and call the rooted check (_rooted) on it, and
 the sum hypergraph reads its edges off the translates A - s.
 
+The rooted check asks whether a sumset in the set passes through one
+member, the root, and answers for each candidate they try.  It walks a
+level plan, built once per signature and ambient: for each summand but
+the last, its size l and the least number of values the summands after
+it take.  On an interval a level with l = 2 walks the other members a
+directly, lowest first, at one shift (up or down by |a - root|), one AND
+and one popcount each; larger summands and every level in a product
+group take their shift sets from _Bitsets.meets.
+
 Shifts d2 < ... < d_l1 are taken in increasing linearized order and the
 first witness found is returned, so detection is deterministic.  For
 integer intervals only positive shifts are needed (the canonical first
@@ -312,34 +321,63 @@ def introduces_sumset(
     return _rooted(_bitsets(ambient), mask, root, sig.lengths)
 
 
+@functools.lru_cache(maxsize=16)
+def _level_plan(lengths: tuple[int, ...], bits: _Bitsets) -> tuple[tuple[int, int], ...]:
+    """(l, needed) for each summand but the last: its size, and the least
+    number of values the summands after it take over bits' ambient."""
+    return tuple(
+        (lengths[s], _min_value_count(lengths[s + 1 :], bits.ambient))
+        for s in range(len(lengths) - 1)
+    )
+
+
 def _rooted(bits: _Bitsets, mask: int, root: int, lengths: tuple[int, ...]) -> bool:
     # Looking for D1, ..., Dr with 0 in each Di, |Di| = li, and root +
     # D1 + ... + Dr inside mask.  Each nonzero d in any Di is some a - root
     # with a in mask (zeros elsewhere); root stays in every intersection,
     # so the last summand only needs l_r elements left.
     #
-    # One exact shortcut: every intersection meets yields is a subset of
-    # mask keeping needed elements, so a mask with fewer has no answer.
-    # When the tail is the last summand alone, needed is l_r on both kinds
-    # of ambient, so the first intersection meets yields answers True.
-    l, tail = lengths[0], lengths[1:]
-    if not tail:
-        return mask.bit_count() >= l
-    needed = _min_value_count(tail, bits.ambient)
-    if mask.bit_count() < needed:
+    # The levels come from the signature's plan, one (l, needed) per
+    # summand but the last, so no call works out needed again.  One exact
+    # shortcut: every intersection a level keeps is a subset of mask
+    # holding needed elements, so a mask with fewer has no answer.  After
+    # the plan's last level only the last summand is left, whose needed
+    # is l_r on both kinds of ambient, so the first intersection kept
+    # there answers True.
+    plan = _level_plan(lengths, bits)
+    if not plan:
+        return mask.bit_count() >= lengths[0]
+    if mask.bit_count() < plan[0][1]:
         return False
+    return _rooted_levels(bits, mask, root, plan, 0)
+
+
+def _rooted_levels(bits: _Bitsets, mask: int, root: int, plan, depth: int) -> bool:
+    """Does level depth of the plan, and every level after it, fit in mask
+    with root in every intersection?"""
+    l, needed = plan[depth]
+    depth += 1
+    last = depth == len(plan)
     others = mask & ~(1 << root)
-    if bits.digits is None:
-        shifts = []
+    if l == 2 and bits.digits is None:
+        # one shift per member a, lowest first: mask - (a - root)
         while others:
             low = others & -others
-            shifts.append(low.bit_length() - 1 - root)
+            a = low.bit_length() - 1
+            inter = mask & (mask << (root - a) if a < root else mask >> (a - root))
+            if inter.bit_count() >= needed and (
+                last or _rooted_levels(bits, inter, root, plan, depth)
+            ):
+                return True
             others ^= low
+        return False
+    if bits.digits is None:
+        shifts = [a - root for a in _indices(others)]
     else:
         # the shifts a - root as one translate of the other members
         shifts = _indices(bits.minus(others, root))
     for _, inter in bits.meets(mask, shifts, l - 1, needed):
-        if _rooted(bits, inter, root, tail):
+        if last or _rooted_levels(bits, inter, root, plan, depth):
             return True
     return False
 

@@ -360,6 +360,23 @@ def test_l222_for_huge_n_exits_before_any_prime_search(capsys, n):
     assert err == "error: element index 1076675280 exceeds the bitset limit of 1073741824 bits\n"
 
 
+@pytest.mark.parametrize("p", [1000000000000000003, 1000000000000000001])
+def test_zp3_past_bitset_limit_exits_before_primality_test(capsys, p):
+    # the first is prime, the second composite; trial division of the
+    # prime takes some 5 * 10^8 steps
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "construct", "zp3", "--p", str(p))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == f"error: element index {(p - 1) ** 3 - 1} exceeds the bitset limit of 1073741824 bits\n"
+
+
+def test_zp3_composite_below_bitset_limit_exits_on_input(capsys):
+    code, out, err = run_cli(capsys, "construct", "zp3", "--p", "1001")
+    assert (code, out) == (2, "")
+    assert err == "error: expected a prime >= 5, got 1001\n"
+
+
 def test_best_translate_with_r_at_least_the_group_order_exits_on_budget(tmp_path):
     # C(N, r) is 1 at r = N, so the N scores are what the budget bounds
     s = tmp_path / "g.txt"

@@ -230,6 +230,26 @@ def test_rooted_matches_oracle(A, lengths):
         assert _rooted(bits, A.bitmask, root, lengths) == (x in covered), x
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(1, 40), unique=True),
+    st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 2, 3)]),
+)
+def test_introduces_matches_full_scan_on_interval(order, lengths):
+    # S is built greedily from the drawn candidates, so it is free and
+    # the integers never drawn may or may not complete a sumset; every c
+    # outside S is asked, those below and between members of S too
+    sig = Signature(lengths)
+    ambient = IntegerInterval(40)
+    S = []
+    for x in order:
+        if contains_sumset(GroundSet(ambient, S + [x]), sig) is None:
+            S.append(x)
+    for c in set(range(1, 41)) - set(S):
+        expected = contains_sumset(GroundSet(ambient, S + [c]), sig) is not None
+        assert introduces_sumset(S, c, sig, ambient) == expected, (S, c)
+
+
 @pytest.mark.parametrize("p", [11, 13])
 def test_level_cut_leaves_one_meets_call_on_zp3(monkeypatch, p):
     # The discrete-log set is (2,2,2)-free; without the level cut the

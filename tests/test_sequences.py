@@ -59,6 +59,22 @@ def test_greedy_matches_introduces_sumset_loop():
         assert greedy_sequence(sig, 200).elements == tuple(terms), lengths
 
 
+def test_greedy_cube_free_to_1500_frozen():
+    # the 138 terms of `sequence greedy --signature 2,2,2 --limit 1500`
+    assert greedy_sequence(Signature((2, 2, 2)), 1500).elements == (
+        1, 2, 3, 5, 6, 8, 12, 13, 15, 21, 23, 26, 27, 32, 36, 40, 47, 50, 55, 65,
+        67, 72, 73, 76, 83, 88, 92, 105, 113, 116, 124, 139, 141, 146, 160, 163,
+        164, 167, 173, 178, 198, 212, 214, 222, 235, 249, 262, 267, 268, 270, 275,
+        286, 293, 295, 317, 327, 332, 353, 362, 365, 391, 394, 405, 408, 410, 428,
+        437, 443, 444, 467, 473, 486, 487, 517, 522, 532, 560, 568, 623, 630, 631,
+        635, 652, 661, 701, 703, 706, 719, 720, 726, 736, 740, 742, 757, 792, 824,
+        843, 844, 857, 869, 872, 886, 910, 913, 936, 964, 985, 999, 1016, 1043,
+        1061, 1069, 1082, 1091, 1099, 1110, 1112, 1134, 1164, 1180, 1193, 1195,
+        1205, 1219, 1296, 1315, 1327, 1336, 1342, 1378, 1383, 1384, 1415, 1427,
+        1431, 1433, 1438, 1489,
+    )
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.sampled_from([(3,), (2, 2), (2, 3), (3, 3), (2, 2, 2)]),
