@@ -20,13 +20,13 @@ set as such a bitset too and call the rooted check (_rooted) on it, and
 the sum hypergraph reads its edges off the translates A - s.
 
 The rooted check asks whether a sumset in the set passes through one
-member, the root, and answers for each candidate they try.  It walks a
-level plan, built once per signature and ambient: for each summand but
-the last, its size l and the least number of values the summands after
-it take.  On an interval a level with l = 2 walks the other members a
-directly, lowest first, at one shift (up or down by |a - root|), one AND
-and one popcount each; larger summands and every level in a product
-group take their shift sets from _Bitsets.meets.
+member, the root, and answers for each candidate they try.  It and the
+detection walk read one level plan, built once per signature and
+ambient: for each summand but the last, its size l and the least number
+of values the summands after it take.  On an interval a level with l = 2
+walks the other members a directly, lowest first, at one shift (up or
+down by |a - root|), one AND and one popcount each; larger summands and
+every level in a product group take their shift sets from _Bitsets.meets.
 
 Shifts d2 < ... < d_l1 are taken in increasing linearized order and the
 first witness found is returned, so detection is deterministic.  For
@@ -42,15 +42,17 @@ the full (2,2,2) scan keeps a single level of intersections.
 
 Enumeration yields every canonical decomposition exactly once; distinct
 decompositions may share a value set, so counts of decompositions and of
-value sets are reported separately.  The kernel yields the earlier
-summands as shift tuples and the last one as the indices it reaches, its
-first index the offset; shifts of the last summand are taken only for a
-witness.  Every caller reads the kernel through one budgeted walk,
-_valued, which pairs each decomposition with its value set, an index
+value sets are reported separately.  The kernel yields once per last
+level the earlier summands, as shift tuples, and the mask whose
+l_r-subsets, first index the offset, complete them; shifts of the last
+summand are taken only for a witness.  contains_sumset takes the first
+l_r indices of the first level that holds them.  Enumeration, counting
+and the deletion step of the constructions read one budgeted walk,
+_valued, which pairs each l_r-subset with its value set, an index
 bitmask read off those indices, not off a witness.  Witnesses are built
-from the decompositions; counting and the deletion step of the
-constructions keep only the bitmasks, whose largest value is the bit
-length less one, and never build element tuples.
+from the decompositions; counting and the deletion step keep only the
+bitmasks, whose largest value is the bit length less one, and never
+build element tuples.
 """
 
 from __future__ import annotations
@@ -80,15 +82,6 @@ from .core import (
 )
 
 DEFAULT_DECOMPOSITION_BUDGET = 10**7
-
-
-def _min_value_count(lengths: tuple[int, ...], ambient: Ambient) -> int:
-    # Lower bound on |L1 + ... + Lr|.  Over the integers iterated sumsets
-    # obey |A + B| >= |A| + |B| - 1; in a torsion group only the trivial
-    # bound max(l_i) survives.
-    if isinstance(ambient, IntegerInterval):
-        return sum(lengths) - len(lengths) + 1
-    return max(lengths)
 
 
 def _indices(mask: int) -> list[int]:
@@ -197,10 +190,25 @@ class _Bitsets:
 _bitsets = functools.lru_cache(maxsize=8)(_Bitsets)
 
 
-def _decompositions(bits: _Bitsets, mask: int, lengths: tuple[int, ...], summands=()):
-    """Yield (earlier summands, chosen indices) of each canonical decomposition
-    in mask: the earlier summands as shift tuples, the last summand as the
-    indices it reaches, the first of them the offset.
+@functools.lru_cache(maxsize=16)
+def _level_plan(lengths: tuple[int, ...], bits: _Bitsets) -> tuple[tuple[int, int], ...]:
+    """(l, needed) for each summand but the last: its size, and the least
+    number of values the summands after it take over bits' ambient.  Over
+    the integers iterated sumsets obey |A + B| >= |A| + |B| - 1; in a
+    torsion group only the trivial bound max(l_i) survives."""
+    plan = []
+    for s in range(1, len(lengths)):
+        tail = lengths[s:]
+        needed = max(tail) if bits.digits else sum(tail) - len(tail) + 1
+        plan.append((lengths[s - 1], needed))
+    return tuple(plan)
+
+
+def _decompositions(bits: _Bitsets, mask: int, plan, summands=()):
+    """Yield (earlier summands, last) for each last level in mask, in order:
+    the earlier summands as shift tuples, one per level of plan, and the
+    mask last whose l_r-subsets, first index the offset, each complete a
+    canonical decomposition.
 
     A level where meets could find no shift set is skipped whole.  With k
     elements in mask, |mask & (mask - d)| is the number of pairs with
@@ -211,19 +219,17 @@ def _decompositions(bits: _Bitsets, mask: int, lengths: tuple[int, ...], summand
     needs count(d) >= needed, so when that sum is below (l - 1)(needed - 1)
     no shift set qualifies.
     """
-    l, tail = lengths[0], lengths[1:]
-    if not tail:
-        for chosen in itertools.combinations(_indices(mask), l):
-            yield summands, chosen
+    if len(summands) == len(plan):
+        yield summands, mask
         return
-    needed = _min_value_count(tail, bits.ambient)
+    l, needed = plan[len(summands)]
     shifts = bits.differences(mask)
     k = mask.bit_count()
     pairs = k * (k - 1) if bits.digits else k * (k - 1) // 2
     if pairs - shifts.bit_count() < (l - 1) * (needed - 1):
         return
     for combo, inter in bits.meets(mask, _indices(shifts), l - 1, needed):
-        yield from _decompositions(bits, inter, tail, summands + ((0,) + combo,))
+        yield from _decompositions(bits, inter, plan, summands + ((0,) + combo,))
 
 
 def _witness_maker(ambient: Ambient):
@@ -249,29 +255,28 @@ def _valued(A: GroundSet, sig: Signature, limit: int | None = None):
     an index bitmask, the decomposition for _witness_maker.  Past limit,
     BudgetExceededError comes before the next value set is built.
 
-    Decompositions of one last level share their earlier summands, so the
-    bitmask of the sums of those is formed once per level, and translated
-    to each chosen index once per level; a value set is the OR of the
-    translates of its chosen indices."""
+    A last level's decompositions are its l_r-subsets, which share the
+    earlier summands, so the bitmask of the sums of those is formed once
+    per level, and translated to each chosen index once per level; a
+    value set is the OR of the translates of its chosen indices."""
     bits = _bitsets(A.ambient)
-    level = None
-    found = _decompositions(bits, A.bitmask, sig.lengths)
-    for count, decomposition in enumerate(found, start=1):
-        if limit is not None and count > limit:
-            raise BudgetExceededError(
-                f"decomposition enumeration exceeded limit of {limit}"
-            )
-        summands, chosen = decomposition
-        if summands is not level:
-            level, sums, translates = summands, 1, {}
-            for L in summands:
-                sums = functools.reduce(operator.or_, [bits.plus(sums, d) for d in L])
-        values = 0
-        for x in chosen:
-            if x not in translates:
-                translates[x] = bits.plus(sums, x)
-            values |= translates[x]
-        yield values, decomposition
+    count = 0
+    for summands, last in _decompositions(bits, A.bitmask, _level_plan(sig.lengths, bits)):
+        sums, translates = 1, {}
+        for L in summands:
+            sums = functools.reduce(operator.or_, [bits.plus(sums, d) for d in L])
+        for chosen in itertools.combinations(_indices(last), sig.lengths[-1]):
+            count += 1
+            if limit is not None and count > limit:
+                raise BudgetExceededError(
+                    f"decomposition enumeration exceeded limit of {limit}"
+                )
+            values = 0
+            for x in chosen:
+                if x not in translates:
+                    translates[x] = bits.plus(sums, x)
+                values |= translates[x]
+            yield values, (summands, chosen)
 
 
 def contains_sumset(A: GroundSet, sig: Signature) -> Optional[SumsetWitness]:
@@ -282,10 +287,13 @@ def contains_sumset(A: GroundSet, sig: Signature) -> Optional[SumsetWitness]:
     singletons are free for every signature since each summand has at
     least two elements.
     """
-    # the walk itself, not enumerate_sumsets, so that a count or trace of
-    # enumerate_sumsets covers enumeration alone
-    for _, decomposition in _valued(A, sig):
-        return _witness_maker(A.ambient)(decomposition)
+    # levels after the first keep l_r indices; a lone summand's only level,
+    # A itself, may not
+    bits = _bitsets(A.ambient)
+    l = sig.lengths[-1]
+    for summands, last in _decompositions(bits, A.bitmask, _level_plan(sig.lengths, bits)):
+        if last.bit_count() >= l:
+            return _witness_maker(A.ambient)((summands, tuple(_indices(last)[:l])))
     return None
 
 
@@ -319,16 +327,6 @@ def introduces_sumset(
     for x in existing:
         mask |= 1 << ambient.index(x)
     return _rooted(_bitsets(ambient), mask, root, sig.lengths)
-
-
-@functools.lru_cache(maxsize=16)
-def _level_plan(lengths: tuple[int, ...], bits: _Bitsets) -> tuple[tuple[int, int], ...]:
-    """(l, needed) for each summand but the last: its size, and the least
-    number of values the summands after it take over bits' ambient."""
-    return tuple(
-        (lengths[s], _min_value_count(lengths[s + 1 :], bits.ambient))
-        for s in range(len(lengths) - 1)
-    )
 
 
 def _rooted(bits: _Bitsets, mask: int, root: int, lengths: tuple[int, ...]) -> bool:

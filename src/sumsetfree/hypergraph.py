@@ -277,7 +277,8 @@ def cayley_hypergraph(
     lists them.  Above that an r-subset sums into A exactly when its
     complement sums into total - A, total the sum of the whole group, so
     the walk lists the N - r subsets instead, and their complements,
-    taken in reverse, are the edges in order.
+    taken in reverse, are the edges in order.  Those hold r vertices each,
+    so they are refused when r times their number exceeds the budget.
     """
     if not isinstance(group, CyclicProduct):
         raise StructureError("sum hypergraphs are built over product groups")
@@ -292,9 +293,15 @@ def cayley_hypergraph(
         return Hypergraph(N, r, ())
     total = group.index(_group_total(group))
     target = sum(1 << bits.diff(a, total) for a in _indices(A.bitmask))  # total - A
+    subsets = _sum_subsets(bits, target, N, N - r)
+    if r * len(subsets) > max_combinations:
+        raise BudgetExceededError(
+            f"{len(subsets)} edges of {r} vertices exceed the combination budget "
+            f"{max_combinations}"
+        )
     vertices = tuple(range(N))
     edges = []
-    for subset in reversed(_sum_subsets(bits, target, N, N - r)):
+    for subset in reversed(subsets):
         cuts = (-1, *subset, N)
         gaps = (vertices[a + 1 : b] for a, b in zip(cuts, cuts[1:]))
         edges.append(tuple(itertools.chain.from_iterable(gaps)))

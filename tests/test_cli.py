@@ -389,6 +389,20 @@ def test_best_translate_with_r_at_least_the_group_order_exits_on_budget(tmp_path
     )
 
 
+def test_hypergraph_build_past_the_vertex_budget_exits_at_once(tmp_path):
+    # the complements' 5.7 * 10^8 vertex entries ran out of memory before
+    # they were charged to the budget
+    s = write_group_set(tmp_path / "g.txt", (2000,), [(x,) for x in range(0, 2000, 7)])
+    start = time.perf_counter()
+    proc = run_module("hypergraph", "build", "--set", s, "--r", "1998")
+    assert time.perf_counter() - start < 2.0
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: 285857 edges of 1998 vertices exceed the combination budget 5000000\n"
+    )
+
+
 def test_best_translate_past_the_budget_bit_length_exits_at_once(tmp_path):
     # C(N, r) >= 2^min(r, N - r), so the count need not be computed: it
     # has 301 030 digits here

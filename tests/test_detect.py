@@ -146,6 +146,14 @@ def test_detection_agrees_with_enumeration(A, lengths):
     assert all(w.is_valid_for(A) for w in witnesses)
 
 
+@settings(max_examples=150, deadline=None)
+@given(small_ground_sets(), st.sampled_from([(2,), (3,), (2, 2), (2, 3), (3, 3), (2, 2, 2)]))
+def test_detection_returns_first_enumerated_witness(A, lengths):
+    # detection stops at the first last level; enumeration expands every one
+    sig = Signature(lengths)
+    assert contains_sumset(A, sig) == next(enumerate_sumsets(A, sig), None)
+
+
 @settings(max_examples=80, deadline=None)
 @given(small_ground_sets(), st.sampled_from([(2,), (3,), (2, 2), (2, 3), (3, 3), (2, 2, 2)]))
 def test_value_sets_match_oracle(A, lengths):

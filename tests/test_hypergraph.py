@@ -512,6 +512,21 @@ def test_cayley_hypergraph_near_the_group_order_is_fast():
     assert [(set(range(2000)) - set(e)).pop() for e in g.edges] == missing[::-1]
 
 
+def test_complement_edges_past_the_budget_are_refused():
+    # r = 1998 admits C(2000, 2) subsets, but with every seventh element in
+    # A the complements would hold 285 857 edges of 1 998 vertices
+    group = CyclicProduct((2000,))
+    A = GroundSet(group, [(x,) for x in range(0, 2000, 7)])
+    with pytest.raises(
+        BudgetExceededError,
+        match="^285857 edges of 1998 vertices exceed the combination budget 5000000$",
+    ):
+        cayley_hypergraph(group, A, 1998)
+    # the whole group at r = 1999: 2 000 edges, 3 998 000 vertex entries
+    everything = GroundSet(group, [(x,) for x in range(2000)])
+    assert cayley_hypergraph(group, everything, 1999).edge_count == 2000
+
+
 @functools.cache
 def z125_graph(seed):
     group = CyclicProduct((5, 5, 5))
