@@ -135,7 +135,7 @@ def _set_payload(gs: GroundSet) -> dict:
     return {
         "ambient": gs.ambient.describe(),
         "size": len(gs),
-        "elements": [_element_json(x) for x in gs.elements],
+        "elements": [_element_json(x) for x in gs],
     }
 
 
@@ -301,7 +301,7 @@ def _cmd_bounds(args):
         a = read_set_file(args.a)
         b = read_set_file(args.b)
         x = read_set_file(args.x)
-        lhs, rhs = overlap_check(a.elements, b.elements, x, args.r)
+        lhs, rhs = overlap_check(a, b, x, args.r)
         payload = {
             "r": args.r,
             "lhs": str(lhs),
@@ -428,7 +428,7 @@ def _cmd_sequence_greedy(args):
         "signature": list(sig.lengths),
         "limit": args.limit,
         "size": len(prefix),
-        "terms": list(prefix.elements),
+        "terms": list(prefix),
     }
     return payload, ("row", ["signature", "limit", "size"])
 
@@ -477,7 +477,7 @@ def _cmd_sequence_dyadic(args):
         "per_m": per_m,
         "statistics": _statistics_payload(report.prefix, sig, xs),
         "size": len(report.prefix),
-        "terms": list(report.prefix.elements),
+        "terms": list(report.prefix),
     }
     return payload, ("table", "per_m", ["m", "S", "N", "retained", "dense"])
 

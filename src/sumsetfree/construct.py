@@ -187,9 +187,7 @@ def _deletions(n: int, sig: Signature, seed: int, max_obstructions: int):
     p = 0.5 * n**exponent
     for s in itertools.count(seed):
         rng = random.Random(s)
-        sampled = GroundSet(
-            IntegerInterval(n), (b for b in base.elements if rng.random() < p)
-        )
+        sampled = GroundSet(IntegerInterval(n), (b for b in base if rng.random() < p))
         maxima, result = _delete_maxima(sampled, sig, max_obstructions)
         yield DeletionReport(
             n, sig, s, p, len(base), sampled, tuple(sorted(set(maxima))), result
@@ -202,7 +200,7 @@ def _delete_maxima(A: GroundSet, sig: Signature, limit: int):
     re-checked free.  At most limit decompositions are enumerated."""
     value_sets = {values for values, _ in _valued(A, sig, limit)}
     maxima = [A.ambient.element_at(vs.bit_length() - 1) for vs in value_sets]
-    rest = GroundSet(A.ambient, A.as_set().difference(maxima))
+    rest = GroundSet(A.ambient, set(A).difference(maxima))
     if contains_sumset(rest, sig) is not None:
         raise RuntimeError("internal error: deletion left a forbidden sumset")
     return maxima, rest
@@ -275,14 +273,13 @@ def zp3_construction(p: int) -> GroundSet:
     ambient = CyclicProduct((p - 1, p - 1, p - 1))
     theta = primitive_root(p)
     dlog = {pow(theta, e, p): e for e in range(p - 1)}
-    elements = []
-    for u in range(2, p):
-        for v in range(2, p):
-            w = (1 - u - v) % p
-            if w in (0, 1):
-                continue
-            elements.append((dlog[u], dlog[v], dlog[w]))
-    return GroundSet(ambient, elements)
+    triples = (
+        (dlog[u], dlog[v], dlog[w])
+        for u in range(2, p)
+        for v in range(2, p)
+        if (w := (1 - u - v) % p) not in (0, 1)
+    )
+    return GroundSet(ambient, triples)
 
 
 def mixed_radix_embed(A: GroundSet) -> GroundSet:
@@ -302,7 +299,7 @@ def mixed_radix_embed(A: GroundSet) -> GroundSet:
     for m in moduli:
         span *= m
     ambient = IntegerInterval(span - 1, lo=0)
-    images = (sum(x * w for x, w in zip(el, weights)) for el in A.elements)
+    images = (sum(x * w for x, w in zip(el, weights)) for el in A)
     return GroundSet(ambient, images)
 
 
@@ -334,4 +331,4 @@ def integer_l222_construction(n: int) -> GroundSet:
     p = integer_l222_prime(n)
     _check_bits(4 * (p - 1) ** 2 * (p - 2))
     embedded = mixed_radix_embed(zp3_construction(p))
-    return GroundSet(IntegerInterval(n - 1, lo=0), embedded.elements)
+    return GroundSet(IntegerInterval(n - 1, lo=0), embedded)

@@ -3,8 +3,9 @@
 A *signature* lists the summand sizes (l1 <= ... <= lr) of the forbidden
 sumsets L1 + ... + Lr.  Ground sets live in one of two ambient structures:
 an integer interval, or a finite product of cyclic groups.  A GroundSet is
-a finite immutable subset of an ambient with constant-time membership; a
-SumsetWitness is a decomposition (offset, L1, ..., Lr) certifying that a
+a finite immutable subset of an ambient, stored as nothing but the sorted
+array of its element indices: its elements, membership test and bitmask
+are derived from that array on each access.  A SumsetWitness is a decomposition (offset, L1, ..., Lr) certifying that a
 sumset lies inside a ground set.  Witnesses are kept in canonical form:
 every summand is translated so its basepoint (minimum for intervals,
 lexicographic minimum for products) is zero, the total translation being
@@ -29,6 +30,8 @@ produce zero-based images.  Each header key may appear once.
 from __future__ import annotations
 
 import itertools
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Iterator, Union
@@ -273,59 +276,69 @@ def _check_bits(top: int) -> None:
 class GroundSet:
     """Immutable finite subset of an ambient, ordered by linearized index.
 
-    Membership is O(1) via a frozenset.  The bitmask (bit i set iff
-    element_at(i) is present) is the detector's input, built in one pass
-    over a byte buffer in O(max index / 8 + |elements|) time.  An index of
-    2^30 or more raises BudgetExceededError instead of allocating.
+    Only the ambient and `indices`, an array of the sorted element indices
+    (8 bytes each), are stored; the rest is derived per access, uncached.
+    len is O(1).  Iteration maps element_at over the indices lazily, and
+    `elements` is the tuple of one iteration.  Membership checks the
+    carrier, so any other value is False, then bisects: O(log |A|).
+    `bitmask` (bit i set iff element_at(i) is present), the detector's
+    input, is one pass over a byte buffer, O(max index / 8 + |A|).  An
+    index of 2^30 or more raises BudgetExceededError when the set is built.
     """
 
-    __slots__ = ("ambient", "elements", "_members", "bitmask")
+    __slots__ = ("ambient", "indices")
 
     def __init__(self, ambient: Ambient, elements: Iterable[Element] = ()):
-        index = {x: ambient.index(x) for x in elements}  # StructureError off the carrier
+        indices = sorted({ambient.index(x) for x in elements})  # StructureError off the carrier
+        _check_bits(indices[-1] if indices else 0)
         object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "elements", tuple(sorted(index)))
-        object.__setattr__(self, "_members", frozenset(index))
-        top = max(index.values(), default=0)
-        _check_bits(top)
-        buf = bytearray(top // 8 + 1)
-        for i in index.values():
-            buf[i >> 3] |= 1 << (i & 7)
-        object.__setattr__(self, "bitmask", int.from_bytes(buf, "little"))
+        object.__setattr__(self, "indices", array("q", indices))
 
     def __setattr__(self, name, value):
         raise AttributeError("GroundSet is immutable")
 
+    @property
+    def elements(self) -> tuple:
+        return tuple(self)
+
+    @property
+    def bitmask(self) -> int:
+        buf = bytearray(self.indices[-1] // 8 + 1 if self.indices else 1)
+        for i in self.indices:
+            buf[i >> 3] |= 1 << (i & 7)
+        return int.from_bytes(buf, "little")
+
     def __contains__(self, x) -> bool:
-        return x in self._members
+        if not self.ambient.contains(x):
+            return False
+        i = self.ambient.index(x)
+        j = bisect_left(self.indices, i)
+        return j < len(self.indices) and self.indices[j] == i
 
     def __iter__(self):
-        return iter(self.elements)
+        return map(self.ambient.element_at, self.indices)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.indices)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GroundSet)
             and self.ambient == other.ambient
-            and self.elements == other.elements
+            and self.indices == other.indices
         )
 
     def __hash__(self) -> int:
-        return hash((self.ambient, self.elements))
+        return hash((self.ambient, self.indices.tobytes()))
 
     def __repr__(self) -> str:
-        shown = ", ".join(repr(x) for x in self.elements[:6])
-        tail = ", ..." if len(self.elements) > 6 else ""
+        shown = ", ".join(repr(x) for x in itertools.islice(self, 6))
+        tail = ", ..." if len(self) > 6 else ""
         return f"GroundSet({self.ambient.describe()}; {{{shown}{tail}}} size={len(self)})"
-
-    def as_set(self) -> frozenset:
-        return self._members
 
     def to_text(self) -> str:
         lines = [f"#ambient {self.ambient.describe()}"]
-        for x in self.elements:
+        for x in self:
             if isinstance(x, tuple):
                 lines.append(",".join(str(c) for c in x))
             else:

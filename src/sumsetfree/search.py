@@ -61,9 +61,10 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, gcd, isqrt, lcm
+from math import comb, factorial, gcd, isqrt, lcm, prod
 from typing import Optional
 
 from .core import (
@@ -103,7 +104,7 @@ class SearchReport:
             "ambient": self.witness.ambient.describe(),
             "signature": list(self.signature.lengths),
             "F": self.best_size,
-            "witness": [_element_json(x) for x in self.witness.elements],
+            "witness": [_element_json(x) for x in self.witness],
             "nodes": self.nodes_explored,
             "ms": round(self.runtime_s * 1000.0, 3),
         }
@@ -318,40 +319,26 @@ def overlap_check(A, B, X: GroundSet, r: int):
     A and B are element collections, X a ground set whose ambient the
     translates are taken in, with A + B inside X, verified up front.  B
     may hold shifts off the carrier, such as 0 in an interval from 1.
-    Returns the exact pair (lhs, rhs) as Fractions, where lhs averages
-    |(A+x1) ∩ ... ∩ (A+xr)| over r-element subsets {x1, ..., xr} of B
-    and rhs is the falling factorial binomial C(|A||B|/|X|, r).
+    Returns the exact pair (lhs, rhs) as Fractions, where lhs sums
+    |(A+x1) ∩ ... ∩ (A+xr)| over r-element subsets {x1, ..., xr} of B,
+    divided by |X|, and rhs is the falling factorial binomial
+    C(|A||B|/|X|, r).  A sum x lies in C(m(x), r) of those intersections,
+    m(x) = #{(a, b) : a + b = x}, so lhs costs |A||B| additions whatever r.
     """
     if not isinstance(r, int) or r < 1:
         raise InvalidInputError(f"subset size r must be a positive integer, got {r!r}")
     if not isinstance(X, GroundSet):
         raise InvalidInputError("overlap check needs X as a GroundSet")
 
-    a_elems = sorted(set(A))
-    b_elems = sorted(set(B))
+    a_elems = set(A)
+    b_elems = set(B)
     if not a_elems or not b_elems or not X:
         raise PreconditionError("overlap check needs nonempty A, B, X")
 
-    translates = {}
-    for b in b_elems:
-        shifted = frozenset(elem_add(a, b, X.ambient) for a in a_elems)
-        if not shifted <= X.as_set():
-            raise PreconditionError("A + B is not contained in X")
-        translates[b] = shifted
+    counts = Counter(elem_add(a, b, X.ambient) for a in a_elems for b in b_elems)
+    if not all(x in X for x in counts):
+        raise PreconditionError("A + B is not contained in X")
 
-    total = 0
-    for combo in itertools.combinations(b_elems, r):
-        inter = translates[combo[0]]
-        for b in combo[1:]:
-            inter = inter & translates[b]
-            if not inter:
-                break
-        total += len(inter)
-
-    lhs = Fraction(total, len(X))
+    lhs = Fraction(sum(comb(m, r) for m in counts.values()), len(X))
     sigma = Fraction(len(a_elems) * len(b_elems), len(X))
-    rhs = Fraction(1)
-    for i in range(r):
-        rhs *= sigma - i
-    rhs /= factorial(r)
-    return lhs, rhs
+    return lhs, prod(sigma - i for i in range(r)) / factorial(r)

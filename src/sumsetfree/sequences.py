@@ -48,8 +48,8 @@ from .detect import _bitsets, _indices, _rooted
 
 
 def counting_function(A: GroundSet, x) -> int:
-    """Number of elements of A not exceeding x."""
-    return bisect_right(A.elements, x)
+    """Number of elements of the interval set A not exceeding x."""
+    return bisect_right(A.indices, x - A.ambient.lo)
 
 
 def liminf_statistic(A: GroundSet, sig: Signature, x) -> float:
@@ -164,7 +164,7 @@ def dyadic_random_sequence(
         start = 4 ** (m + 2)
         size = 4**m
         base = behrend_set(size)
-        shifted = [start - 1 + b for b in base.elements]
+        shifted = [start - 1 + b for b in base]
         stream = _block_stream(params.seed, m)
         kept = [v for v in shifted if stream.random() < v ** (-alpha)]
         dense = len(base) >= size ** (1.0 - params.epsilon / 2.0)

@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import itertools
 import operator
+from fractions import Fraction
+from math import factorial
 
 import numpy as np
 
 from sumsetfree.core import (
     IntegerInterval,
     InvalidInputError,
+    PreconditionError,
     StructureError,
     elem_add,
     elem_sub,
@@ -377,7 +380,7 @@ def has_cube_dim3_by_sum_system(A):
     tries every base point and every triple of differences directly.
     """
     ambient = A.ambient
-    elems = A.as_set()
+    elems = frozenset(A)
     ordered = tuple(sorted(elems))
     interval = isinstance(ambient, IntegerInterval)
     pairs = itertools.permutations(ordered, 2)
@@ -423,3 +426,30 @@ def automorphism_orbits(moduli):
             for x, y in zip(group, phi):
                 orbits[x].add(y)
     return {x: frozenset(o) for x, o in orbits.items()}
+
+
+def overlap_by_subsets(A, B, X, r):
+    """Both sides of the translate-averaging inequality, straight from the
+    definition: the sizes |(A+x1) & ... & (A+xr)| summed over every
+    r-subset {x1, ..., xr} of B, divided by |X|, and the falling-factorial
+    binomial C(|A||B|/|X|, r).  C(|B|, r) intersections of frozensets, so
+    only for small B."""
+    a_elems = sorted(set(A))
+    b_elems = sorted(set(B))
+    members = frozenset(X)
+    if not a_elems or not b_elems or not members:
+        raise PreconditionError("overlap check needs nonempty A, B, X")
+    translates = {}
+    for b in b_elems:
+        shifted = frozenset(elem_add(a, b, X.ambient) for a in a_elems)
+        if not shifted <= members:
+            raise PreconditionError("A + B is not contained in X")
+        translates[b] = shifted
+    total = 0
+    for combo in itertools.combinations(b_elems, r):
+        total += len(frozenset.intersection(*(translates[b] for b in combo)))
+    sigma = Fraction(len(a_elems) * len(b_elems), len(members))
+    rhs = Fraction(1)
+    for i in range(r):
+        rhs *= sigma - i
+    return Fraction(total, len(members)), rhs / factorial(r)

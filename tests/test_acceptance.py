@@ -103,7 +103,7 @@ def test_criterion_04_log_surface_size_freeness_and_slices():
         assert len(A.elements) == (p - 3) ** 2, p
         assert contains_sumset(A, sig) is None, p
         group = A.ambient
-        members = A.as_set()
+        members = frozenset(A)
         zero = group.zero
         if p <= 7:
             translates = (

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -39,13 +40,14 @@ def write_group_set(path, moduli, elems):
     return str(path)
 
 
-def run_module(*argv):
+def run_module(*argv, cap_mb=1500):
     """Run `python -m sumsetfree.cli` in a child process under an
-    address-space cap and a timeout, so an input that a regression makes
-    cost hours or gigabytes fails the test instead of stalling the suite."""
+    address-space cap of cap_mb MiB and a timeout, so an input that a
+    regression makes cost hours or gigabytes fails the test instead of
+    stalling the suite."""
     src = str(Path(sumsetfree.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    limit = 1500 * 2**20
+    limit = cap_mb * 2**20
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
@@ -337,6 +339,15 @@ def test_construction_past_bitset_limit_exits_before_building(argv):
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == ""
     assert "bitset limit" in proc.stderr
+
+
+def test_l222_near_the_bitset_limit_fits_256_mib():
+    # p = 619: 379 456 triples embedded below 10^9.  A ground set holding
+    # a bitmask over that span peaked at 608 MB of address space
+    proc = run_module("construct", "l222", "--n", "1000000000", cap_mb=256)
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+    assert digest == "750b59dc4a7f93ca020e59fa3d5cb905ced316fa9d463c932b610586f72b476b"
 
 
 def test_l222_past_bitset_limit_exits_before_building(capsys):

@@ -110,7 +110,7 @@ def test_deletion_seed_zero_report():
     }
     assert rep.base_size == 512
     assert rep.success_threshold == pytest.approx(0.5068222748053052)
-    assert set(rep.result.as_set()) == set(rep.sampled) - set(rep.deleted)
+    assert set(rep.result) == set(rep.sampled) - set(rep.deleted)
     assert contains_sumset(rep.result, SIG222) is None
 
 

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sumsetfree import (
     CyclicProduct,
@@ -102,7 +103,7 @@ def test_ground_set_basics():
     assert 2 in gs and 4 not in gs
     assert len(gs) == 3
     assert list(gs) == [1, 2, 3]
-    assert gs.as_set() == frozenset({1, 2, 3})
+    assert frozenset(gs) == frozenset({1, 2, 3})
     assert gs == GroundSet(iv, (2, 3, 1))
     assert gs != GroundSet(IntegerInterval(17), (1, 2, 3))
 
@@ -115,6 +116,54 @@ def test_ground_set_is_immutable_and_checks_carrier():
         GroundSet(IntegerInterval(5), [6])
     with pytest.raises(StructureError):
         GroundSet(CyclicProduct((3, 3)), [(0, 3)])
+
+
+@st.composite
+def ground_set_inputs(draw):
+    """(ambient, elements): an interval from 0 or 1 or a product group,
+    and a list of carrier elements with repeats, in any order."""
+    ambient = draw(
+        st.one_of(
+            st.builds(IntegerInterval, st.integers(1, 40), st.sampled_from([0, 1])),
+            st.builds(CyclicProduct, st.sampled_from([(6,), (2, 5), (3, 3), (2, 2, 3)])),
+        )
+    )
+    index = st.integers(0, ambient.cardinality - 1)
+    return ambient, draw(st.lists(index.map(ambient.element_at), max_size=30))
+
+
+def foreign_values(ambient):
+    """Values that are no element of the ambient's carrier."""
+    if isinstance(ambient, IntegerInterval):
+        return [True, False, 1.0, 0.5, [1], [1, 0], (1,), ambient.lo - 1, ambient.n + 1, -5]
+    k = len(ambient.moduli)
+    return [
+        True, False, 0, 1, 0.0, [0] * k, (0,) * (k + 1), (0,) * (k - 1),
+        tuple(ambient.moduli), (-1,) + (0,) * (k - 1), (0.0,) * k,
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(ground_set_inputs())
+def test_ground_set_contract(case):
+    ambient, elems = case
+    gs = GroundSet(ambient, elems)
+    members = frozenset(elems)
+    ordered = sorted(members, key=ambient.index)
+    assert len(gs) == len(members)
+    assert list(gs) == ordered
+    assert gs.elements == tuple(ordered)
+    assert gs.bitmask == sum(1 << ambient.index(x) for x in members)
+    again = GroundSet(ambient, reversed(elems))
+    assert gs == again and hash(gs) == hash(again)
+    if members:
+        assert gs != GroundSet(ambient, ordered[1:])
+    assert parse_set_text(gs.to_text()) == gs
+    for i in range(ambient.cardinality):
+        x = ambient.element_at(i)
+        assert (x in gs) == (x in members), x
+    for x in foreign_values(ambient):
+        assert x not in gs, x
 
 
 def test_ground_set_bitmask_matches_indices():

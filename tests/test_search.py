@@ -1,4 +1,7 @@
 import math
+import random
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,6 +17,7 @@ from sumsetfree import (
     PreconditionError,
     Signature,
     contains_sumset,
+    elem_add,
     introduces_sumset,
     lower_bound_exponent,
     max_free_set,
@@ -25,7 +29,12 @@ from sumsetfree import (
 
 from sumsetfree import search
 
-from oracles import automorphism_orbits, exhaustive_max_free, interval_free_table
+from oracles import (
+    automorphism_orbits,
+    exhaustive_max_free,
+    interval_free_table,
+    overlap_by_subsets,
+)
 
 
 def test_interval_maximum_pair_free():
@@ -422,3 +431,54 @@ def test_overlap_inequality_can_fail_out_of_regime():
     assert lhs == 0
     assert rhs == Fraction(8, 343)
     assert lhs < rhs
+
+
+@st.composite
+def overlap_inputs(draw):
+    """(A, B, X, r): in an interval, B holds the off-carrier shift 0 and
+    A + B fits the carrier; in a product group |A|, |B| <= 8.  X is A + B
+    plus random extra members, or, now and then, a random set that may
+    miss some sum."""
+    r = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        n = draw(st.integers(3, 24))
+        B = {0} | draw(st.sets(st.integers(1, n // 3), max_size=6))
+        A = draw(st.sets(st.integers(1, n - max(B)), min_size=1, max_size=8))
+        ambient = IntegerInterval(n)
+    else:
+        ambient = CyclicProduct(draw(st.sampled_from([(7,), (12,), (2, 4), (3, 3), (2, 2, 3)])))
+        elems = st.integers(0, ambient.cardinality - 1).map(ambient.element_at)
+        A = draw(st.sets(elems, min_size=1, max_size=8))
+        B = draw(st.sets(elems, min_size=1, max_size=8))
+    carrier = [ambient.element_at(i) for i in range(ambient.cardinality)]
+    extra = draw(st.sets(st.sampled_from(carrier)))
+    if draw(st.integers(0, 4)) == 0:
+        members = extra
+    else:
+        members = extra | {elem_add(a, b, ambient) for a in A for b in B}
+    return A, B, GroundSet(ambient, members), r
+
+
+@settings(max_examples=300, deadline=None)
+@given(overlap_inputs())
+def test_overlap_check_matches_subset_reference(case):
+    A, B, X, r = case
+    try:
+        want = overlap_by_subsets(A, B, X, r)
+    except PreconditionError as exc:
+        with pytest.raises(PreconditionError, match=f"^{re.escape(str(exc))}$"):
+            overlap_check(A, B, X, r)
+    else:
+        assert overlap_check(A, B, X, r) == want
+
+
+def test_overlap_check_cost_does_not_grow_with_subsets():
+    # 40 shifts, 0 among them, taken 8 at a time: C(40, 8) ~ 7.7e7 subsets
+    rng = random.Random(8)
+    A = rng.sample(range(1, 101), 40)
+    B = [0] + rng.sample(range(1, 101), 39)
+    X = GroundSet(IntegerInterval(200), range(1, 201))
+    start = time.perf_counter()
+    lhs, _ = overlap_check(A, B, X, 8)
+    assert time.perf_counter() - start < 2.0
+    assert lhs > 0
