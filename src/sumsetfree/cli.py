@@ -33,6 +33,8 @@ import json
 import os
 import sys
 from collections import Counter
+from fractions import Fraction
+from math import fsum, lgamma, log, log10
 
 from .core import (
     BudgetExceededError,
@@ -291,6 +293,29 @@ def _cmd_search(args):
     return report.to_dict(), ("row", ["ambient", "signature", "F", "nodes", "ms"])
 
 
+def _binomial_digits(sigma: Fraction, r: int) -> float:
+    """A lower bound on the decimal digits of numerator or denominator of
+    C(sigma, r) = prod(p - i q) / (q^r r!) in lowest terms, sigma = p / q.
+    Every p - i q is prime to q, so the denominator keeps q^r and the
+    numerator loses at most r!.  O(r) float logs, no r-term product."""
+    p, q = sigma.numerator, sigma.denominator
+    if q == 1 and 0 <= p < r:
+        return 0.0  # a zero factor
+    numerator = fsum(log10(abs(p - i * q)) for i in range(r)) - lgamma(r + 1) / log(10)
+    return max(numerator, r * log10(q))
+
+
+def _fraction_text(value: Fraction) -> str:
+    """str(value), or exit 3 when a part passes the int-to-str limit."""
+    try:
+        return str(value)
+    except ValueError:
+        raise BudgetExceededError(
+            "exact value exceeds the interpreter's limit of "
+            f"{sys.get_int_max_str_digits()} digits for integer string conversion"
+        ) from None
+
+
 def _cmd_bounds(args):
     if args.overlap:
         for name in ("a", "b", "x"):
@@ -301,11 +326,24 @@ def _cmd_bounds(args):
         a = read_set_file(args.a)
         b = read_set_file(args.b)
         x = read_set_file(args.x)
+        if a and b and x and args.r > 0:
+            # refused before overlap_check, so refusing costs O(1) or O(r)
+            if args.r > len(b):
+                raise InvalidInputError(
+                    f"--r {args.r} exceeds |B| = {len(b)}: B has no r-subsets"
+                )
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            sigma = Fraction(len(a) * len(b), len(x))
+            if limit and _binomial_digits(sigma, args.r) > limit + 1:
+                raise BudgetExceededError(
+                    f"rhs C({sigma}, {args.r}) has more than the interpreter's "
+                    f"limit of {limit} digits for integer string conversion"
+                )
         lhs, rhs = overlap_check(a, b, x, args.r)
         payload = {
             "r": args.r,
-            "lhs": str(lhs),
-            "rhs": str(rhs),
+            "lhs": _fraction_text(lhs),
+            "rhs": _fraction_text(rhs),
             "holds": lhs >= rhs,
         }
         return payload, ("row", ["r", "lhs", "rhs", "holds"])

@@ -187,6 +187,19 @@ def has_progression(values):
     return False
 
 
+def has_progression_by_pairs(values):
+    """Three-term arithmetic progression by pairs: for every a < c of
+    equal parity, look their midpoint up in a set.  O(k^2) for k distinct
+    values, so it reaches bases of a few thousand elements."""
+    vals = sorted(set(values))
+    members = set(vals)
+    for i, a in enumerate(vals):
+        for c in vals[i + 1:]:
+            if (a + c) % 2 == 0 and (a + c) // 2 in members:
+                return True
+    return False
+
+
 def ternary_01_set(n):
     """Elements x of 1..n such that x - 1 has only 0 and 1 as base-3 digits."""
     rest = np.arange(n)

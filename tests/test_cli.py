@@ -8,6 +8,7 @@ import resource
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from sumsetfree import (
     read_set_file,
     write_set_file,
 )
+from sumsetfree import cli
 from sumsetfree.cli import run
 
 
@@ -175,6 +177,56 @@ def test_bounds_overlap(tmp_path, capsys):
     )
     assert code == 2
     assert "--r" in err
+
+
+def write_overlap_sets(tmp_path, a, b, n):
+    """Set files for A, B (in an interval from 0) and X = {1..n}."""
+    write_set_file(GroundSet(IntegerInterval(n, lo=0), b), tmp_path / "b.txt")
+    return (
+        write_interval_set(tmp_path / "a.txt", n, a),
+        str(tmp_path / "b.txt"),
+        write_interval_set(tmp_path / "x.txt", n, range(1, n + 1)),
+    )
+
+
+def test_bounds_overlap_report_is_frozen(tmp_path, capsys):
+    a, b, x = write_overlap_sets(tmp_path, range(1, 42), range(40), 200)
+    code, out, _ = run_cli(capsys, "bounds", "--overlap", "--a", a, "--b", b, "--x", x, "--r", "3")
+    assert code == 0
+    assert out == (
+        '{\n  "holds": true,\n  "lhs": "10127/10",\n  "r": 3,\n  "rhs": "7626/125"\n}\n'
+    )
+
+
+def test_bounds_overlap_refuses_r_past_the_shifts(tmp_path):
+    # with r > |B| the falling factorial C(41 * 40 / 200, r) used to pass
+    # the int-to-str limit and end in a ValueError traceback
+    a, b, x = write_overlap_sets(tmp_path, range(1, 42), range(40), 200)
+    proc = run_module("bounds", "--overlap", "--a", a, "--b", b, "--x", x, "--r", "30000")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: --r 30000 exceeds |B| = 40: B has no r-subsets\n"
+
+
+def test_bounds_overlap_refuses_unprintable_rhs_up_front(tmp_path, capsys):
+    # C(3000/3001, 2000) has a denominator of at least 3001^2000, some
+    # 6950 digits: refused before the 2000-term product
+    a, b, x = write_overlap_sets(tmp_path, [1], range(3000), 3001)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "bounds", "--overlap", "--a", a, "--b", b, "--x", x, "--r", "2000")
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (3, "")
+    assert err.startswith("error: rhs C(3000/3001, 2000) has more than")
+    # below the limit the same rhs is printed in full
+    code, out, _ = run_cli(capsys, "bounds", "--overlap", "--a", a, "--b", b, "--x", x, "--r", "1000")
+    assert code == 0
+    assert len(json.loads(out)["rhs"]) > 3000
+
+
+def test_bounds_overlap_render_refuses_unprintable_value():
+    # the render's refusal, for an exact side no up-front bound caught
+    with pytest.raises(sumsetfree.BudgetExceededError, match="string conversion"):
+        cli._fraction_text(Fraction(10**5000 + 1, 3))
+    assert cli._fraction_text(Fraction(-3, 32)) == "-3/32"
 
 
 def test_construct_behrend(tmp_path, capsys):

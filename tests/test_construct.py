@@ -33,6 +33,7 @@ from sumsetfree.construct import _digits01_values, _has_progression
 from oracles import (
     decomposition_value_sets,
     has_progression,
+    has_progression_by_pairs,
     interval_decompositions,
     ternary_01_set,
 )
@@ -82,15 +83,41 @@ def test_progression_check_on_ternary_base_plus_one(n, extra):
     assert _has_progression(values) == has_progression(values)
 
 
+@pytest.mark.parametrize("n", [3**9, 10**5])
+def test_progression_check_on_wide_ternary_bases(n):
+    # windows thousands of CPython digits wide, on both sides of top / 2:
+    # each extra value completes a progression the check must find
+    base = _digits01_values(n)
+    assert not has_progression_by_pairs(base)
+    assert not _has_progression(base)
+    top = base[-1]  # base[0] == 0
+    below = max(b for b in base if 2 * b < top)
+    above = min(b for b in base if 2 * b > top)
+    extras = [
+        2 * base[-1] - base[-2],  # right-end completion, middle base[-1]
+        2 * base[0] - base[1],  # middle base[0], the smallest value
+        2 * below - base[1],  # middle just below top / 2
+        2 * above - base[-1],  # middle just above top / 2
+        2 * above,  # new top 2 * above, even: middle exactly top / 2
+    ]
+    for extra in extras:
+        assert extra not in base
+        values = base + [extra]
+        assert has_progression_by_pairs(values), extra
+        assert _has_progression(values), extra
+
+
 def test_behrend_rejects_non_positive_length():
     with pytest.raises(InvalidInputError, match="interval length"):
         behrend_set(0)
 
 
 def test_progression_free_block_is_rechecked(monkeypatch):
-    monkeypatch.setattr(construct, "_digits01_values", lambda n: [0, 3, 1, 5])
-    with pytest.raises(RuntimeError):
-        behrend_set(6)
+    # middle 3 above top / 2 = 2.5, then middle 1 below top / 2 = 3
+    for values in ([0, 3, 1, 5], [0, 2, 1, 6]):
+        monkeypatch.setattr(construct, "_digits01_values", lambda n: values)
+        with pytest.raises(RuntimeError):
+            behrend_set(7)
 
 
 def test_progression_free_block_matches_ternary_digit_oracle():
