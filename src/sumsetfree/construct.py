@@ -41,6 +41,7 @@ import bisect
 import itertools
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from math import log
 
 from .core import (
@@ -188,7 +189,10 @@ def _deletions(n: int, sig: Signature, seed: int, max_obstructions: int):
         raise InvalidInputError(f"interval length must be an integer >= 2, got {n!r}")
     base = behrend_set(n)
     omega = log(len(base)) / log(n)
-    exponent = (sig.r - sig.total - omega) / (sig.product - 1)
+    try:
+        exponent = (sig.r - sig.total - omega) / (sig.product - 1)
+    except OverflowError:  # P past the float range: divide exactly, then round
+        exponent = float(Fraction(sig.r - sig.total - omega) / (sig.product - 1))
     p = 0.5 * n**exponent
     for s in itertools.count(seed):
         rng = random.Random(s)

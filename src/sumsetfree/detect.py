@@ -9,50 +9,41 @@ single summand the question is whether |A| >= l1.
 Everything runs on bitsets.  An element is its linearized index and a set
 is a Python int with bit i set for the element at index i, starting from
 GroundSet.bitmask.  Translating an interval set is one shift; in a
-product group it is one masked shift pair per coordinate, one shift for
-the digits that do not wrap and one for those that do; the mask of a
-digit is built the first time a shift needs it, and a product of more
-than 2^30 elements is refused with BudgetExceededError.  Intersection is
-AND, its size int.bit_count(), and the differences of A are the OR of the
-translates A - a over a in A.  Element tuples appear only in witnesses.
-The branch-and-bound search and the greedy sequences keep their growing
-set as such a bitset too and call the rooted check (_rooted) on it, and
-the sum hypergraph reads its edges off the translates A - s.
+product group it is one masked shift pair per coordinate (_DigitMasks),
+and a product of more than 2^30 elements is refused with
+BudgetExceededError.  Intersection is AND, its size int.bit_count(), and
+the differences of A are the OR of the translates A - a over a in A.
+Element tuples appear only in witnesses.  The sum hypergraph reads its
+edges off the translates A - s.
 
-The rooted check asks whether a sumset in the set passes through one
-member, the root, and answers for each candidate they try.  It and the
-detection walk read one level plan, built once per signature and
-ambient: for each summand but the last, its size l and the least number
-of values the summands after it take.  On an interval a level with l = 2
-walks the other members a directly, lowest first, at one shift (up or
-down by |a - root|), one AND and one popcount each; larger summands and
-every level in a product group take their shift sets from _Bitsets.meets.
+Each walk reads a level plan, built per call in one pass from the last
+summand: for each summand but the last, its size l and the least number
+of values the summands after it take.  The rooted check asks whether a
+sumset in a set passes through one member, the root; a search or a
+sequence builds it once (_rooted_check) and asks it about its growing
+bitset for each candidate.  On an interval a level with l = 2 walks the
+other members a directly, lowest first, at one shift (up or down by
+|a - root|), one AND and one popcount each; larger summands and every
+level in a product group take their shift sets from _Bitsets.meets.
 
 Shifts d2 < ... < d_l1 are taken in increasing linearized order and the
 first witness found is returned, so detection is deterministic.  For
 integer intervals only positive shifts are needed (the canonical first
 summand has minimum zero); in a product group every nonzero difference
 is a candidate.  A level is skipped before any intersection when A
-repeats too few differences to fit the summand: each of its l1 - 1
-shifts d needs at least the tail's least number of values in A & (A - d),
-while those sizes less one, summed over all differences d, come to the number
-of pairs less the number of differences, one popcount (see
-_decompositions).  On the discrete-log sets of construct.zp3_construction
-the full (2,2,2) scan keeps a single level of intersections.
+repeats too few differences to fit the summand (_decompositions); on the
+discrete-log sets of construct.zp3_construction the full (2,2,2) scan
+keeps a single level of intersections.
 
 Enumeration yields every canonical decomposition exactly once; distinct
-decompositions may share a value set, so counts of decompositions and of
-value sets are reported separately.  The kernel yields once per last
-level the earlier summands, as shift tuples, and the mask whose
-l_r-subsets, first index the offset, complete them; shifts of the last
-summand are taken only for a witness.  contains_sumset takes the first
-l_r indices of the first level that holds them.  Enumeration, counting
-and the deletion step of the constructions read one budgeted walk,
-_valued, which pairs each l_r-subset with its value set, an index
-bitmask read off those indices, not off a witness.  Witnesses are built
-from the decompositions; counting and the deletion step keep only the
-bitmasks, whose largest value is the bit length less one, and never
-build element tuples.
+decompositions may share a value set, so the two are counted apart.  The
+kernel yields once per last level the earlier summands, as shift tuples,
+and the mask whose l_r-subsets, first index the offset, complete them;
+contains_sumset takes the first l_r indices of the first level that
+holds them.  Enumeration, counting and the deletion step of the
+constructions read one budgeted walk, _valued, which pairs each
+l_r-subset with its value set, an index bitmask whose largest value is
+its bit length less one; only witnesses are built as element tuples.
 """
 
 from __future__ import annotations
@@ -125,7 +116,6 @@ class _Bitsets:
     is the index of a group element, or any integer offset in an interval."""
 
     def __init__(self, ambient: Ambient):
-        self.ambient = ambient
         self.digits = None  # per coordinate, last first: stride, modulus, masks
         if isinstance(ambient, IntegerInterval):
             return
@@ -190,18 +180,17 @@ class _Bitsets:
 _bitsets = functools.lru_cache(maxsize=8)(_Bitsets)
 
 
-@functools.lru_cache(maxsize=16)
-def _level_plan(lengths: tuple[int, ...], bits: _Bitsets) -> tuple[tuple[int, int], ...]:
+def _level_plan(lengths: tuple[int, ...], group: bool) -> tuple[tuple[int, int], ...]:
     """(l, needed) for each summand but the last: its size, and the least
-    number of values the summands after it take over bits' ambient.  Over
-    the integers iterated sumsets obey |A + B| >= |A| + |B| - 1; in a
-    torsion group only the trivial bound max(l_i) survives."""
-    plan = []
-    for s in range(1, len(lengths)):
-        tail = lengths[s:]
-        needed = max(tail) if bits.digits else sum(tail) - len(tail) + 1
-        plan.append((lengths[s - 1], needed))
-    return tuple(plan)
+    number of values the summands after it take.  Over the integers
+    iterated sumsets obey |A + B| >= |A| + |B| - 1; in a torsion group only
+    the trivial bound max(l_i) survives.  One pass from the last summand,
+    so a long signature costs O(r)."""
+    plan, needed = [], lengths[-1]
+    for l in reversed(lengths[:-1]):
+        plan.append((l, needed))
+        needed = max(needed, l) if group else needed + l - 1
+    return tuple(reversed(plan))
 
 
 def _decompositions(bits: _Bitsets, mask: int, plan, summands=()):
@@ -260,8 +249,9 @@ def _valued(A: GroundSet, sig: Signature, limit: int | None = None):
     per level, and translated to each chosen index once per level; a
     value set is the OR of the translates of its chosen indices."""
     bits = _bitsets(A.ambient)
+    plan = _level_plan(sig.lengths, bits.digits is not None)
     count = 0
-    for summands, last in _decompositions(bits, A.bitmask, _level_plan(sig.lengths, bits)):
+    for summands, last in _decompositions(bits, A.bitmask, plan):
         sums, translates = 1, {}
         for L in summands:
             sums = functools.reduce(operator.or_, [bits.plus(sums, d) for d in L])
@@ -290,8 +280,9 @@ def contains_sumset(A: GroundSet, sig: Signature) -> Optional[SumsetWitness]:
     # levels after the first keep l_r indices; a lone summand's only level,
     # A itself, may not
     bits = _bitsets(A.ambient)
+    plan = _level_plan(sig.lengths, bits.digits is not None)
     l = sig.lengths[-1]
-    for summands, last in _decompositions(bits, A.bitmask, _level_plan(sig.lengths, bits)):
+    for summands, last in _decompositions(bits, A.bitmask, plan):
         if last.bit_count() >= l:
             return _witness_maker(A.ambient)((summands, tuple(_indices(last)[:l])))
     return None
@@ -318,36 +309,36 @@ def introduces_sumset(
 
     Only witnesses whose value set passes through candidate are searched,
     which is exhaustive when the existing set is free.  A one-shot check
-    for callers holding elements; the branch-and-bound search and the
-    greedy sequences carry their set's index bitset and call the rooted
-    check on it directly.
+    for callers holding elements; search and greedy build _rooted_check once.
     """
     root = ambient.index(candidate)
     mask = 1 << root
     for x in existing:
         mask |= 1 << ambient.index(x)
-    return _rooted(_bitsets(ambient), mask, root, sig.lengths)
+    return _rooted_check(ambient, sig.lengths)(mask, root)
 
 
-def _rooted(bits: _Bitsets, mask: int, root: int, lengths: tuple[int, ...]) -> bool:
+def _rooted_check(ambient: Ambient, lengths: tuple[int, ...]):
+    """The function (mask, root) -> does a sumset of the signature inside
+    the index bitset mask pass through its member root?"""
     # Looking for D1, ..., Dr with 0 in each Di, |Di| = li, and root +
     # D1 + ... + Dr inside mask.  Each nonzero d in any Di is some a - root
     # with a in mask (zeros elsewhere); root stays in every intersection,
-    # so the last summand only needs l_r elements left.
-    #
-    # The levels come from the signature's plan, one (l, needed) per
-    # summand but the last, so no call works out needed again.  One exact
-    # shortcut: every intersection a level keeps is a subset of mask
-    # holding needed elements, so a mask with fewer has no answer.  After
-    # the plan's last level only the last summand is left, whose needed
-    # is l_r on both kinds of ambient, so the first intersection kept
-    # there answers True.
-    plan = _level_plan(lengths, bits)
+    # so the last summand only needs l_r elements left, and the first
+    # intersection kept after the plan's last level answers True.  The
+    # bitsets, the plan and the first level's needed are resolved here,
+    # once.  The popcount shortcut is exact: every intersection a level
+    # keeps is a subset of mask holding needed elements.
+    bits = _bitsets(ambient)
+    plan = _level_plan(lengths, bits.digits is not None)
+    needed = plan[0][1] if plan else lengths[0]
     if not plan:
-        return mask.bit_count() >= lengths[0]
-    if mask.bit_count() < plan[0][1]:
-        return False
-    return _rooted_levels(bits, mask, root, plan, 0)
+        return lambda mask, root: mask.bit_count() >= needed
+
+    def check(mask: int, root: int) -> bool:
+        return mask.bit_count() >= needed and _rooted_levels(bits, mask, root, plan, 0)
+
+    return check
 
 
 def _rooted_levels(bits: _Bitsets, mask: int, root: int, plan, depth: int) -> bool:
@@ -497,32 +488,21 @@ def is_degenerate(summands, ambient: Ambient) -> bool:
 def ap3_of_degenerate(summands) -> tuple[int, int, int]:
     """Extract a nontrivial 3-term progression from a degenerate sumset.
 
-    Integer summands only.  A collision x1+...+xr = y1+...+yr with
-    xk != yk at some position yields the progression with difference
-    xk - yk: replace xk by yk for the first term and yk by xk in the y
-    sum for the last.  Raises PreconditionError when the sumset is
-    non-degenerate.
+    Integer summands only.  A collision x1+...+xr = y1+...+yr = t with
+    xk != yk at a first position k yields t -/+ d, d = |xk - yk|: replace
+    xk by yk in the x sum for one end and yk by xk in the y sum for the
+    other.  Raises PreconditionError when the sumset is non-degenerate.
     """
     summands = [tuple(L) for L in summands]
-    for L in summands:
-        for x in L:
-            if not isinstance(x, int):
-                raise StructureError("progression extraction works on integer summands")
-    seen: dict[int, tuple] = {}
+    if not all(isinstance(x, int) for L in summands for x in L):
+        raise StructureError("progression extraction works on integer summands")
+    seen = {}
     for choice in itertools.product(*summands):
         total = sum(choice)
-        if total in seen:
-            other = seen[total]
-            for k, (xk, yk) in enumerate(zip(choice, other)):
-                if xk != yk:
-                    if xk < yk:
-                        choice, other = other, choice
-                        xk, yk = yk, xk
-                    a = total - xk + yk
-                    d = xk - yk
-                    return (a, a + d, a + 2 * d)
-        else:
-            seen[total] = choice
+        other = seen.setdefault(total, choice)
+        if other != choice:
+            d = next(abs(x - y) for x, y in zip(choice, other) if x != y)
+            return (total - d, total, total + d)
     raise PreconditionError("sumset is non-degenerate; no collision to extract")
 
 
@@ -537,15 +517,14 @@ def count_all_sumsets(
 
     Returns (decompositions, distinct value sets).  Both counts are at
     most n**(total - r + 1); the decomposition space is guarded by the
-    budget before enumeration starts.
+    budget before enumeration starts, by bit length first and named as a
+    power, so neither the check nor its message grows with the exponent.
     """
     if not isinstance(n, int) or n < 1:
         raise InvalidInputError(f"interval endpoint must be a positive integer, got {n!r}")
-    space = n ** (sig.total - sig.r + 1)
-    if space > budget:
-        raise BudgetExceededError(
-            f"decomposition space {space} exceeds budget {budget}"
-        )
+    e = sig.total - sig.r + 1
+    if e * (n.bit_length() - 1) >= budget.bit_length() or n**e > budget:
+        raise BudgetExceededError(f"decomposition space {n}^{e} exceeds budget {budget}")
     A = GroundSet(IntegerInterval(n), range(1, n + 1))
     value_sets = Counter(values for values, _ in _valued(A, sig))
     return sum(value_sets.values()), len(value_sets)

@@ -292,7 +292,7 @@ def cayley_hypergraph(
     if r > N:
         return Hypergraph(N, r, ())
     total = group.index(_group_total(group))
-    target = sum(1 << bits.diff(a, total) for a in _indices(A.bitmask))  # total - A
+    target = sum(1 << bits.diff(a, total) for a in A.indices)  # total - A
     subsets = _sum_subsets(bits, target, N, N - r)
     if r * len(subsets) > max_combinations:
         raise BudgetExceededError(

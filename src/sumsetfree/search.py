@@ -7,12 +7,13 @@ translates to one that contains it, and translation preserves freeness in
 both ambient kinds).  A branch is cut when the chosen elements plus the
 most that the remaining candidates can add cannot beat the incumbent, and
 a candidate is rejected when adding it to the (free) partial set would
-create a sumset through it, which is checked by the detector's rooted
-search rather than a full re-scan.  The partial set is the detector's
-index bitset; elements are made only for the witness.  The search is a
-loop, not a recursion: the chosen indices above 0 are the include
-branches whose exclude branch is still to come, so the highest of them is
-where the search backs up to, and the depth of a search costs no stack.
+create a sumset through it, which the detector's rooted check, built
+once per search, answers without a full re-scan.  The partial set is the
+detector's index bitset; elements are made only for the witness.  The
+search is a loop, not a recursion: the chosen indices above 0 are the
+include branches whose exclude branch is still to come, so the highest
+of them is where the search backs up to, and the depth of a search costs
+no stack.
 
 In a group, automorphisms also limit the second element.  The witness is
 the first maximum in depth-first order, which is the lexicographically
@@ -46,13 +47,12 @@ index is always its highest, so the runs meet the same sets again; one
 search keeps the answers in a dict keyed by the grown set and empties it
 at _ROOTED_MEMO_LIMIT entries, which bounds its memory.
 
-The closed-form evaluators cover the leading upper bound
-(l_r - 1)^(1/P') * n^(1 - 1/P') with P' the product of all summand sizes
-but the last, the exact lower-bound exponent 1 - (S - r)/(P - 1) as a
-rational number, and the Turan-type hypergraph bound
-(l_r - 1)^(1/P') / r! * n^(r - 1/P').  overlap_check evaluates both sides
-of the translate-intersection averaging inequality with exact rational
-arithmetic; the falling-factorial right-hand side is only a guaranteed
+The closed-form evaluators cover the leading upper bound and the
+Turan-type hypergraph bound, (l_r - 1)^(1/P') / k! * n^(k - 1/P') for
+k = 1 and k = r with P' the product of all summand sizes but the last,
+and the exact lower-bound exponent 1 - (S - r)/(P - 1) as a rational
+number.  overlap_check evaluates both sides of the translate-intersection
+averaging inequality with exact rational arithmetic; the falling-factorial right-hand side is only a guaranteed
 lower bound once |A||B|/|X| reaches r - 1 (below r - 2 it can exceed the
 average), so the raw pair is returned rather than asserted.
 """
@@ -62,9 +62,10 @@ from __future__ import annotations
 import itertools
 import time
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial, gcd, isqrt, lcm, prod
+from math import comb, exp, factorial, gcd, inf, isqrt, lcm, lgamma, log, prod
 from typing import Optional
 
 from .core import (
@@ -80,7 +81,7 @@ from .core import (
     elem_add,
 )
 from .construct import _prime_factors
-from .detect import _bitsets, _indices, _rooted, contains_sumset
+from .detect import _indices, _rooted_check, contains_sumset
 
 DEFAULT_CARDINALITY_BUDGET = 64
 
@@ -139,7 +140,7 @@ def max_free_set(
         witness = GroundSet(ambient, (ambient.element_at(i) for i in range(k)))
         return SearchReport(sig, k, witness, 0, time.perf_counter() - start, {})
 
-    bits = _bitsets(ambient)
+    check = _rooted_check(ambient, sig.lengths)
     nodes = 0
     pruned = {"cardinality": 0, "infeasible": 0, "symmetry": 0}
     # doll[k]: most elements a free set can take from k consecutive
@@ -176,7 +177,7 @@ def max_free_set(
                     if hit is None:
                         if len(rooted) >= _ROOTED_MEMO_LIMIT:
                             rooted.clear()
-                        hit = rooted[grown] = _rooted(bits, grown, i, sig.lengths)
+                        hit = rooted[grown] = check(grown, i)
                     if hit:
                         pruned["infeasible"] += 1
                     else:
@@ -280,12 +281,31 @@ def _check_multi(sig: Signature) -> None:
         raise InvalidSignatureError("bound requires at least two summands")
 
 
+def _bound(name: str, c: int, pp: int, n: int, k: int) -> float:
+    """c^(1/pp) / k! * n^(k - 1/pp) as the float expression whose digits the
+    reports keep, 1 / pp rounded once (1.0 / pp below 2^53, 0.0 past the
+    float range).  Where k! or n passes the float range, the value comes
+    from its logarithm, to a relative error near 1e-13; where the value
+    does, BudgetExceededError."""
+    e = 1 / pp
+    with suppress(OverflowError):
+        value = c**e / factorial(k) * n ** (k - e)
+        if value < inf:
+            return value
+    ln = e * log(c) - lgamma(k + 1) + (k - e) * log(n)
+    try:
+        return exp(ln)
+    except OverflowError:
+        raise BudgetExceededError(
+            f"{name} is about 10^{ln / log(10):.1f}, past the float range"
+        ) from None
+
+
 def upper_bound_leading(n: int, sig: Signature) -> float:
     """Leading term of the general upper bound on the maximum free size."""
     _check_n(n)
     _check_multi(sig)
-    pp = sig.prefix_product
-    return (sig.lengths[-1] - 1) ** (1.0 / pp) * n ** (1.0 - 1.0 / pp)
+    return _bound("upper_leading", sig.lengths[-1] - 1, sig.prefix_product, n, 1)
 
 
 def lower_bound_exponent(sig: Signature) -> Fraction:
@@ -298,9 +318,7 @@ def turan_upper_bound(n: int, sig: Signature) -> float:
     """Turan-type bound on edges of the associated r-partite-free hypergraph."""
     _check_n(n)
     _check_multi(sig)
-    pp = sig.prefix_product
-    r = sig.r
-    return (sig.lengths[-1] - 1) ** (1.0 / pp) / factorial(r) * n ** (r - 1.0 / pp)
+    return _bound("turan_upper", sig.lengths[-1] - 1, sig.prefix_product, n, sig.r)
 
 
 def sidon_refined_upper(n: int) -> float:

@@ -44,7 +44,7 @@ from .core import (
     Signature,
 )
 from .construct import DEFAULT_OBSTRUCTION_BUDGET, _delete_maxima, behrend_set
-from .detect import _bitsets, _indices, _rooted
+from .detect import _indices, _rooted_check
 
 
 def counting_function(A: GroundSet, x) -> int:
@@ -58,7 +58,8 @@ def liminf_statistic(A: GroundSet, sig: Signature, x) -> float:
         raise InvalidInputError(f"statistic needs a finite x > 1, got {x!r}")
     pp = sig.prefix_product
     try:
-        stat = counting_function(A, x) * (x * log(x)) ** (1.0 / pp) / x
+        # 1 / pp rounds once: 0.0, not OverflowError, past the float range
+        stat = counting_function(A, x) * (x * log(x)) ** (1 / pp) / x
     except OverflowError:  # an int x too large for a float
         stat = inf
     if not isfinite(stat):
@@ -71,11 +72,11 @@ def greedy_sequence(sig: Signature, limit: int) -> GroundSet:
     if not isinstance(limit, int) or limit < 1:
         raise InvalidInputError(f"limit must be a positive integer, got {limit!r}")
     ambient = IntegerInterval(limit)
-    bits = _bitsets(ambient)
+    check = _rooted_check(ambient, sig.lengths)
     mask = 0
     for i in range(limit):
         grown = mask | 1 << i
-        if not _rooted(bits, grown, i, sig.lengths):
+        if not check(grown, i):
             mask = grown
     return GroundSet(ambient, map(ambient.element_at, _indices(mask)))
 

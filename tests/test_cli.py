@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import resource
@@ -40,6 +41,10 @@ def write_interval_set(path, n, elems):
 def write_group_set(path, moduli, elems):
     write_set_file(GroundSet(CyclicProduct(moduli), elems), path)
     return str(path)
+
+
+def twos(r):
+    return ",".join(["2"] * r)
 
 
 def run_module(*argv, cap_mb=1500):
@@ -93,6 +98,17 @@ def test_detect_hilbert(tmp_path, capsys):
     assert json.loads(out) == {"dimension": 3, "free": True}
 
 
+def test_detect_hilbert_of_huge_dimension_answers_at_once(tmp_path, capsys):
+    # the level plan is one pass over the signature; built from its tail
+    # slices it took quadratic time, about 46 s at dimension 100 000
+    s = write_interval_set(tmp_path / "s.txt", 10, [1, 2, 4])
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "detect", "--set", s, "--hilbert", "100000")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert json.loads(out) == {"dimension": 100000, "free": True}
+
+
 def test_search_json_and_csv(capsys):
     code, out, _ = run_cli(capsys, "search", "--signature", "2,2", "--n", "12")
     assert code == 0
@@ -133,6 +149,14 @@ def test_enumerate_interval_count(capsys):
     }
 
 
+def test_enumerate_huge_decomposition_space_exits_on_budget(capsys):
+    # 5^8001 has 5 593 digits, past the int-to-str limit of the message
+    code, out, err = run_cli(capsys, "enumerate", "--signature", twos(8000), "--n", "5")
+    assert code == 3
+    assert out == ""
+    assert "decomposition space 5^8001 exceeds budget" in err
+
+
 def test_enumerate_set_witness_listing(tmp_path, capsys):
     s = write_interval_set(tmp_path / "s.txt", 4, [1, 2, 3, 4])
     code, out, _ = run_cli(capsys, "enumerate", "--set", s, "--signature", "2,2")
@@ -156,6 +180,32 @@ def test_bounds_closed_forms(capsys):
     assert payload["sidon_refined"] == 110.5
     code, out, _ = run_cli(capsys, "bounds", "--signature", "2,3", "--n", "100")
     assert "sidon_refined" not in json.loads(out)
+
+
+def test_bounds_with_factorial_past_the_float_range(capsys):
+    # 171! passes the float range; the Turan bound itself is near 8e-139
+    code, out, _ = run_cli(capsys, "bounds", "--signature", twos(171), "--n", "10")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["turan_upper"] == pytest.approx(10**171 / math.factorial(171), rel=1e-12)
+    assert payload["upper_leading"] == 10.0
+
+
+def test_bounds_with_prefix_product_past_the_float_range(capsys):
+    # 1 / P' with P' = 2^1099 is 0.0, not an OverflowError
+    code, out, _ = run_cli(capsys, "bounds", "--signature", twos(1100), "--n", "10")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["upper_leading"] == 10.0
+    assert payload["turan_upper"] == 0.0  # 10^1100 / 1100! is about 1e-1752
+
+
+def test_bounds_past_the_float_range_exit_on_budget(capsys):
+    n = str(10**300)  # the Turan bound n^1.5 / 2 is about 10^450
+    code, out, err = run_cli(capsys, "bounds", "--signature", "2,2", "--n", n)
+    assert code == 3
+    assert out == ""
+    assert "turan_upper is about 10^449.7, past the float range" in err
 
 
 def test_bounds_overlap(tmp_path, capsys):
@@ -258,6 +308,18 @@ def test_construct_random_determinism(capsys):
     )
     assert other != first
     assert json.loads(first)["sizes"]["A"] == 1
+
+
+def test_construct_random_with_product_past_the_float_range(capsys):
+    # P - 1 = 2^1030 - 1 is divided exactly; p is 0.5 n^(-9e-308), so 0.5
+    code, out, _ = run_cli(
+        capsys, "construct", "random", "--n", "1000", "--signature", twos(1030),
+        "--seed", "0",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["p"] == 0.5
+    assert payload["sizes"]["bad"] == 0
 
 
 def test_construct_random_retries(capsys):
@@ -948,6 +1010,30 @@ def test_exit_code_on_overflowing_statistic(tmp_path, capsys, elems):
     assert code == 2
     assert out == ""
     assert "overflows" in err
+
+
+def test_statistic_with_prefix_product_past_the_float_range(tmp_path, capsys):
+    # (x ln x)^(1/P') is 1.0 for P' = 2^1099; it used to read as an overflow
+    s = write_interval_set(tmp_path / "s.txt", 10, [1, 2, 4])
+    code, out, _ = run_cli(
+        capsys, "sequence", "stats", "--signature", twos(1100), "--set", s, "--x", "5"
+    )
+    assert code == 0
+    assert json.loads(out)["statistics"] == [{"count": 3, "stat": 0.6, "x": 5.0}]
+    code, out, _ = run_cli(
+        capsys, "sequence", "dyadic", "--signature", twos(1100), "--epsilon", "0.1",
+        "--m-max", "1", "--seed", "0",
+    )
+    assert code == 0
+    assert json.loads(out)["statistics"] == [{"count": 3, "stat": 3 / 67, "x": 67}]
+    # an x past the float range is still refused
+    code, out, err = run_cli(
+        capsys, "sequence", "stats", "--signature", twos(1100), "--set", s,
+        "--x", "1e400",
+    )
+    assert code == 2
+    assert out == ""
+    assert "finite x" in err
 
 
 def test_negative_budget_env_variable(capsys, monkeypatch):

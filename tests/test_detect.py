@@ -30,7 +30,7 @@ from sumsetfree import (
     zp3_construction,
 )
 
-from sumsetfree.detect import _Bitsets, _bitsets, _rooted, _valued
+from sumsetfree.detect import _Bitsets, _level_plan, _rooted_check, _valued
 
 from oracles import (
     cube3_sum_relations,
@@ -232,10 +232,27 @@ def test_rooted_matches_oracle(A, lengths):
         moduli = ambient.moduli
         decomps = cyclic_decompositions(moduli, A.elements, lengths)
     covered = set().union(*decomposition_value_sets(decomps, moduli))
-    bits = _bitsets(ambient)
+    check = _rooted_check(ambient, lengths)
     for x in A.elements:
         root = ambient.index(x)
-        assert _rooted(bits, A.bitmask, root, lengths) == (x in covered), x
+        assert check(A.bitmask, root) == (x in covered), x
+
+
+def tail_slice_plan(lengths, group):
+    # the level plan read off each summand's tail slice, O(r^2)
+    plan = []
+    for s in range(1, len(lengths)):
+        tail = lengths[s:]
+        needed = max(tail) if group else sum(tail) - len(tail) + 1
+        plan.append((lengths[s - 1], needed))
+    return tuple(plan)
+
+
+@pytest.mark.parametrize("group", [False, True])
+def test_level_plan_matches_tail_slices(group):
+    for r in range(1, 7):
+        for lengths in itertools.combinations_with_replacement(range(2, 6), r):
+            assert _level_plan(lengths, group) == tail_slice_plan(lengths, group), lengths
 
 
 @settings(max_examples=60, deadline=None)

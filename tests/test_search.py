@@ -280,13 +280,18 @@ def test_benchmark_interval_maxima():
 )
 def test_rooted_check_runs_once_per_grown_set(monkeypatch, n, lengths, calls):
     counted = []
-    rooted = search._rooted
+    rooted_check = search._rooted_check
 
-    def counting(*args):
-        counted.append(args[1])
-        return rooted(*args)
+    def counting_check(*args):
+        check = rooted_check(*args)
 
-    monkeypatch.setattr(search, "_rooted", counting)
+        def counting(mask, root):
+            counted.append(mask)
+            return check(mask, root)
+
+        return counting
+
+    monkeypatch.setattr(search, "_rooted_check", counting_check)
     max_free_set(IntegerInterval(n), Signature(lengths))
     assert len(counted) == len(set(counted)) == calls
 
@@ -375,6 +380,11 @@ def test_leading_upper_bound_values():
 def test_leading_upper_bound_rejects_non_positive_n():
     with pytest.raises(InvalidInputError, match="interval length"):
         upper_bound_leading(0, Signature((2, 2)))
+
+
+def test_leading_upper_bound_for_n_past_the_float_range():
+    # n does not fit a float, its square root does
+    assert upper_bound_leading(10**400, Signature((2, 2))) == pytest.approx(1e200, rel=1e-12)
 
 
 def test_lower_bound_exponents():
