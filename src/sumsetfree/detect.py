@@ -89,10 +89,11 @@ class _DigitMasks(dict):
     """high[dj]: the indices whose digit at one coordinate is at least dj.
 
     Every mask has one bit per group element, so a mask is built on first
-    use and then kept; building all of them up front costs a bit per
-    element for every residue of every modulus.  ones, bit 0 of every
-    period, is built on first use too, by doubling: dividing the all-ones
-    mask by 2^period - 1 would take CPython's quadratic long division.
+    use and then kept, until the masks kept reach _MAX_BITS bits and start
+    afresh; building all of them up front costs a bit per element for
+    every residue of every modulus.  ones, bit 0 of every period, is built
+    on first use too, by doubling: dividing the all-ones mask by
+    2^period - 1 would take CPython's quadratic long division.
     """
 
     def __init__(self, stride: int, period: int, size: int):
@@ -107,7 +108,10 @@ class _DigitMasks(dict):
                 ones |= ones << width
                 width *= 2
             self.ones = ones & ((1 << self.size) - 1)
-        mask = self[dj] = ((1 << self.period) - (1 << dj * self.stride)) * self.ones
+        if len(self) * self.size >= _MAX_BITS:
+            self.clear()
+        # (2^period - 2^(dj stride)) * ones, as two shifts and a subtraction
+        mask = self[dj] = (self.ones << self.period) - (self.ones << dj * self.stride)
         return mask
 
 
@@ -176,10 +180,6 @@ class _Bitsets:
                 yield combo, inter
 
 
-# one per ambient: the product masks are built once, not per call
-_bitsets = functools.lru_cache(maxsize=8)(_Bitsets)
-
-
 def _level_plan(lengths: tuple[int, ...], group: bool) -> tuple[tuple[int, int], ...]:
     """(l, needed) for each summand but the last: its size, and the least
     number of values the summands after it take.  Over the integers
@@ -224,7 +224,7 @@ def _decompositions(bits: _Bitsets, mask: int, plan, summands=()):
 def _witness_maker(ambient: Ambient):
     """The function taking a kernel decomposition (earlier summands,
     chosen indices) to its SumsetWitness over ambient."""
-    bits = _bitsets(ambient)
+    bits = _Bitsets(ambient)
     point = functools.cache(ambient.element_at)
     shift = point if bits.digits else (lambda d: d)
 
@@ -248,7 +248,7 @@ def _valued(A: GroundSet, sig: Signature, limit: int | None = None):
     earlier summands, so the bitmask of the sums of those is formed once
     per level, and translated to each chosen index once per level; a
     value set is the OR of the translates of its chosen indices."""
-    bits = _bitsets(A.ambient)
+    bits = _Bitsets(A.ambient)
     plan = _level_plan(sig.lengths, bits.digits is not None)
     count = 0
     for summands, last in _decompositions(bits, A.bitmask, plan):
@@ -279,7 +279,7 @@ def contains_sumset(A: GroundSet, sig: Signature) -> Optional[SumsetWitness]:
     """
     # levels after the first keep l_r indices; a lone summand's only level,
     # A itself, may not
-    bits = _bitsets(A.ambient)
+    bits = _Bitsets(A.ambient)
     plan = _level_plan(sig.lengths, bits.digits is not None)
     l = sig.lengths[-1]
     for summands, last in _decompositions(bits, A.bitmask, plan):
@@ -329,7 +329,7 @@ def _rooted_check(ambient: Ambient, lengths: tuple[int, ...]):
     # bitsets, the plan and the first level's needed are resolved here,
     # once.  The popcount shortcut is exact: every intersection a level
     # keeps is a subset of mask holding needed elements.
-    bits = _bitsets(ambient)
+    bits = _Bitsets(ambient)
     plan = _level_plan(lengths, bits.digits is not None)
     needed = plan[0][1] if plan else lengths[0]
     if not plan:

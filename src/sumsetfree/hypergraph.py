@@ -65,7 +65,7 @@ from .core import (
     Signature,
     StructureError,
 )
-from .detect import _bitsets, _indices
+from .detect import _Bitsets, _indices
 
 DEFAULT_COMBINATION_BUDGET = 5 * 10**6
 
@@ -286,7 +286,7 @@ def cayley_hypergraph(
         raise StructureError("set and group ambient differ")
     N = group.cardinality
     _check_subsets(N, r, max_combinations)
-    bits = _bitsets(group)
+    bits = _Bitsets(group)
     if 2 * r <= N:
         return Hypergraph(N, r, tuple(_sum_subsets(bits, A.bitmask, N, r)))
     if r > N:

@@ -20,11 +20,12 @@ the first maximum in depth-first order, which is the lexicographically
 least maximum free set containing 0.  An automorphism fixes 0 and maps
 that set to another maximum free set containing 0, so no automorphism
 takes the witness's second element to a smaller index: the second element
-is the least of its orbit.  The search takes index i second only when i
-is the least of its orbit under all automorphisms (_orbit_leaders, which
-keys each class representative by the Ulm sequences of its primary parts,
-so no generators are linked); the include branches it skips are counted
-in pruned_by["symmetry"].  Skipping branches only lowers the incumbent,
+is the least of its orbit.  The search takes index i second only when no
+smaller index shares its orbit under all automorphisms; it keys each
+index by the Ulm sequences of its primary parts (_orbit_key) when it
+first reaches it second, so nothing is keyed before the first node and
+no generators are linked.  The include branches it skips are counted in
+pruned_by["symmetry"].  Skipping branches only lowers the incumbent,
 so it cuts no branch on the witness's path, and F and the witness are
 those of the search without the rule.  On Z_3^3 with signature (2, 2) the
 search explores 3 790 nodes instead of 24 917.  Intervals are not
@@ -59,13 +60,12 @@ average), so the raw pair is returned rather than asserted.
 
 from __future__ import annotations
 
-import itertools
 import time
 from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, exp, factorial, gcd, inf, isqrt, lcm, lgamma, log, prod
+from math import comb, exp, factorial, gcd, inf, lcm, lgamma, log, prod
 from typing import Optional
 
 from .core import (
@@ -149,11 +149,14 @@ def max_free_set(
     # rooted[grown]: does grown, free but for its highest index, hold a
     # sumset through that index; the same for every run that meets grown
     rooted = {}
-    # the indices that may join index 0 as the second chosen element
-    if isinstance(ambient, IntegerInterval):
-        second = range(N)
-    else:
-        second = {ambient.index(v) for v in _orbit_leaders(ambient.moduli)}
+    # first[key]: the least index met second with that orbit key.  With
+    # only index 0 chosen (mask == 1) the loop meets i = 1, 2, ... in
+    # order, once each: backing up to mask == 1 sets i = top + 1, and the
+    # first cardinality cut there ends the run.  So every smaller index is
+    # keyed before i, and i is the least of its orbit iff it is first with
+    # its key.  Intervals take every index second and key nothing.
+    orbit_key = None if isinstance(ambient, IntegerInterval) else _orbit_key(ambient.moduli)
+    first = {}
 
     def solve(n: int, best_size: int, target: int) -> tuple[int, int]:
         # First free subset of indices 0..n-1 holding index 0 that beats
@@ -170,7 +173,11 @@ def max_free_set(
                 raise BudgetExceededError(f"search exceeded node budget {max_nodes}")
             if i < n and size + doll[n - i] > best_size:
                 grown = mask | 1 << i
-                if mask == 1 and i not in second:
+                if (
+                    mask == 1
+                    and orbit_key is not None
+                    and first.setdefault(orbit_key(ambient.element_at(i)), i) != i
+                ):
                     pruned["symmetry"] += 1
                 else:
                     hit = rooted.get(grown)
@@ -210,45 +217,19 @@ def max_free_set(
     )
 
 
-def _orbit_leaders(moduli: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The least element of each orbit of Z_m1 x ... x Z_mk under all of
-    its automorphisms, in increasing order.
+def _orbit_key(moduli: tuple[int, ...]):
+    """The function taking an element v of Z_m1 x ... x Z_mk to the key of
+    its orbit under all automorphisms: two elements share an orbit iff
+    their keys are equal.
 
-    Unit scalings of one coordinate and permutations of coordinates with
-    equal moduli take x to its class representative: each digit x_i
-    replaced by gcd(x_i, m_i) mod m_i, then the digits of each modulus
-    sorted ascending.  It is the least element of x's class, so the least
-    element of an orbit is a representative.  Two elements of a finite
-    abelian p-group share an orbit iff they have the same Ulm sequence, the
-    heights of v, pv, p^2 v, ... (Kaplansky, Infinite Abelian Groups), and
-    the automorphisms of G are the products of those of its primary parts.
-    With p^e the power of p in M = lcm(m_i), the booleans "p^a v lies in
-    p^b G" for 0 <= a < e and 1 <= b <= e give every height of each p^a v_p,
-    so they key the orbit; p^a v lies in p^b G iff gcd(p^b, m_i) divides
-    p^a v_i for every i.  The work grows with the number of
-    representatives, not with the size of the group: Z_2^20 has 21.
+    Two elements of a finite abelian p-group share an orbit iff they have
+    the same Ulm sequence, the heights of v, pv, p^2 v, ... (Kaplansky,
+    Infinite Abelian Groups), and the automorphisms of G are the products
+    of those of its primary parts.  With p^e the power of p in
+    M = lcm(m_i), the booleans "p^a v lies in p^b G" for 0 <= a < e and
+    1 <= b <= e give every height of each p^a v_p, so they key the orbit;
+    p^a v lies in p^b G iff gcd(p^b, m_i) divides p^a v_i for every i.
     """
-    blocks = {}  # modulus -> its coordinates
-    for i, m in enumerate(moduli):
-        blocks.setdefault(m, []).append(i)
-    # the digits of a representative: 0 and the proper divisors, ascending
-    digits = {}
-    for m in blocks:
-        low = [d for d in range(1, isqrt(m) + 1) if m % d == 0]
-        digits[m] = [0] + sorted({*low, *(m // d for d in low)} - {m})
-
-    reps = []
-    per_block = (
-        itertools.combinations_with_replacement(digits[m], len(pos))
-        for m, pos in blocks.items()
-    )
-    for choice in itertools.product(*per_block):
-        y = [0] * len(moduli)
-        for pos, ds in zip(blocks.values(), choice):
-            for i, d in zip(pos, ds):
-                y[i] = d
-        reps.append(tuple(y))
-
     # (p^a, the gcd(p^b, m_i)) for each test "p^a v lies in p^b G"
     M = lcm(*moduli)
     tests = []
@@ -260,11 +241,10 @@ def _orbit_leaders(moduli: tuple[int, ...]) -> list[tuple[int, ...]]:
             for b in range(1, e + 1):
                 tests.append((p**a, [gcd(p**b, m) for m in moduli]))
 
-    leaders = {}  # orbit key -> least representative, met first
-    for v in sorted(reps):
-        key = tuple(all(s * x % g == 0 for x, g in zip(v, gs)) for s, gs in tests)
-        leaders.setdefault(key, v)
-    return list(leaders.values())
+    def key(v: tuple[int, ...]) -> tuple[bool, ...]:
+        return tuple(all(s * x % g == 0 for x, g in zip(v, gs)) for s, gs in tests)
+
+    return key
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +302,19 @@ def turan_upper_bound(n: int, sig: Signature) -> float:
 
 
 def sidon_refined_upper(n: int) -> float:
-    """Refined upper bound sqrt(n) + n^(1/4) + 1/2 for pair sumsets."""
+    """Refined upper bound sqrt(n) + n^(1/4) + 1/2 for pair sumsets.  Where
+    n passes the float range, each root comes from log(n), as in _bound;
+    where sqrt(n) does, BudgetExceededError."""
     _check_n(n)
-    return n**0.5 + n**0.25 + 0.5
+    with suppress(OverflowError):
+        return n**0.5 + n**0.25 + 0.5
+    ln = log(n)
+    try:
+        return exp(ln / 2) + exp(ln / 4) + 0.5
+    except OverflowError:
+        raise BudgetExceededError(
+            f"sidon_refined is about 10^{ln / 2 / log(10):.1f}, past the float range"
+        ) from None
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from sumsetfree import (
     read_set_file,
     write_set_file,
 )
-from sumsetfree import cli
+from sumsetfree import cli, search
 from sumsetfree.cli import run
 
 
@@ -464,6 +464,16 @@ def test_l222_near_the_bitset_limit_fits_256_mib():
     assert digest == "750b59dc4a7f93ca020e59fa3d5cb905ced316fa9d463c932b610586f72b476b"
 
 
+def test_sidon_parabola_in_a_large_group_fits_512_mib(tmp_path):
+    # {(x, x^2)} is a Sidon set; over Z_4093^2 each kept digit mask holds
+    # 16.8 M bits, and keeping one per digit met ran out of memory
+    elems = [(x, x * x % 4093) for x in range(1, 301)]
+    s = write_group_set(tmp_path / "parabola.txt", (4093, 4093), elems)
+    proc = run_module("detect", "--set", s, "--sidon", cap_mb=512)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"sidon": True}
+
+
 def test_l222_past_bitset_limit_exits_before_building(capsys):
     # p = 787: its 614 656 triples took seconds and some 300 MB before the
     # first image past 2^30 was refused; 4 (p - 1)^2 (p - 2) bounds the
@@ -545,8 +555,8 @@ def test_best_translate_past_the_budget_bit_length_exits_at_once(tmp_path):
 @pytest.mark.parametrize("moduli", ["40,40", ",".join(["2"] * 20)])
 def test_large_group_search_exits_on_node_budget(moduli):
     # a recursion per candidate index hit Python's recursion limit past
-    # about 1000 elements; the orbit leaders of Z_2^20 come from 21 class
-    # representatives, not from its 2^20 elements
+    # about 1000 elements; the search keys only the indices it meets
+    # second, not the 2^20 elements of Z_2^20
     proc = run_module(
         "search", "--moduli", moduli, "--signature", "2,2", "--allow-large",
         "--max-nodes", "5000",
@@ -554,6 +564,27 @@ def test_large_group_search_exits_on_node_budget(moduli):
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr == "error: search exceeded node budget 5000\n"
+
+
+def test_group_search_keys_no_more_orbits_than_its_node_budget(capsys, monkeypatch):
+    # keying one class representative per tuple of divisor digits, 9 216
+    # for these moduli, before the first node cost 0.4 s that --max-nodes
+    # did not see; now each key is taken at a node
+    keyed = []
+    orbit_key = search._orbit_key
+
+    def counted(moduli):
+        key = orbit_key(moduli)
+        return lambda v: keyed.append(v) or key(v)
+
+    monkeypatch.setattr(search, "_orbit_key", counted)
+    code, out, err = run_cli(
+        capsys, "search", "--moduli", "2,3,4,5,6,7,8,9,10", "--signature", "2,2",
+        "--allow-large", "--max-nodes", "10",
+    )
+    assert (code, out) == (3, "")
+    assert err == "error: search exceeded node budget 10\n"
+    assert 0 < len(keyed) <= 10
 
 
 def test_long_interval_search_exits_on_node_budget():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -221,19 +222,37 @@ def test_orbit_leaders_match_automorphism_orbits(moduli):
     # same Ulm sequences share an orbit, so no orbit has two leaders.  The
     # oracle tries every automorphism.
     minima = {min(orbit) for orbit in automorphism_orbits(moduli).values()}
-    leaders = set(search._orbit_leaders(moduli))
+    leaders = set(_orbit_leaders(moduli))
     assert minima <= leaders
     assert leaders == minima
 
 
+def _orbit_leaders(moduli):
+    """The first element of each orbit key, keying every element in index
+    order as the search keys the indices it meets second."""
+    ambient = CyclicProduct(moduli)
+    key = search._orbit_key(moduli)
+    leaders = {}
+    for i in range(ambient.cardinality):
+        v = ambient.element_at(i)
+        leaders.setdefault(key(v), v)
+    return list(leaders.values())
+
+
 def test_orbit_leaders_of_many_mixed_moduli():
-    # 9 216 class representatives fall into 128 orbits
-    assert len(search._orbit_leaders((2, 3, 4, 5, 6, 7, 8, 9, 10))) == 128
+    # unit scalings take each digit x_i to gcd(x_i, m_i) mod m_i, so the
+    # 9 216 tuples of divisor digits meet every orbit; they fall into 128
+    moduli = (2, 3, 4, 5, 6, 7, 8, 9, 10)
+    digits = [[0] + [d for d in range(1, m) if m % d == 0] for m in moduli]
+    tuples = list(itertools.product(*digits))
+    assert len(tuples) == 9216
+    key = search._orbit_key(moduli)
+    assert len({key(v) for v in tuples}) == 128
 
 
 def _leader_indices(moduli):
     ambient = CyclicProduct(moduli)
-    return {ambient.index(v) for v in search._orbit_leaders(moduli)}
+    return {ambient.index(v) for v in _orbit_leaders(moduli)}
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
@@ -407,6 +426,13 @@ def test_sidon_refined_upper_values():
     assert sidon_refined_upper(10**4) == 110.5
     for n in range(2, 200):
         assert sidon_refined_upper(n) >= math.sqrt(n)
+
+
+def test_sidon_refined_upper_past_the_float_range():
+    # n itself passes the float range; sqrt(n) is about 1e200
+    assert sidon_refined_upper(10**400) == pytest.approx(1e200, rel=1e-12)
+    with pytest.raises(BudgetExceededError, match=r"about 10\^350.0, past the float range"):
+        sidon_refined_upper(10**700)
 
 
 def test_overlap_check_fractions():
