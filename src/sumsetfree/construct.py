@@ -53,6 +53,7 @@ from .core import (
     Signature,
     StructureError,
     _check_bits,
+    _mask,
 )
 from .detect import _valued, contains_sumset
 
@@ -76,11 +77,11 @@ def _has_progression(values: list[int]) -> bool:
     """Exact test for a < b < c in values with a + c = 2b.
 
     With x = v - min(values) and top the span, forward has bit x and
-    mirrored bit top - x, both filled in one pass over a byte buffer.  For
-    a middle b with 2b <= top, bit c of (mirrored >> (top - 2b)) & forward
-    is set iff c and 2b - c are both values.  Such pairs are symmetric
-    about b and bit b is always set, so some progression has middle b iff
-    that AND reaches past bit b.  For 2b > top the same holds for
+    mirrored bit top - x, both built by _mask.  For a middle b with
+    2b <= top, bit c of (mirrored >> (top - 2b)) & forward is set iff c
+    and 2b - c are both values.  Such pairs are symmetric about b and bit
+    b is always set, so some progression has middle b iff that AND
+    reaches past bit b.  For 2b > top the same holds for
     (forward >> (2b - top)) & mirrored about b' = top - b.  A middle costs
     one shift and one AND over 2 * min(b, top - b) + 1 bits, so k values
     take O(k * span) bit operations in all.
@@ -90,15 +91,8 @@ def _has_progression(values: list[int]) -> bool:
     lo = min(values)
     offsets = {v - lo for v in values}
     top = max(offsets)
-    _check_bits(top)
-    forward = bytearray(top // 8 + 1)
-    mirrored = bytearray(top // 8 + 1)
-    for x in offsets:
-        forward[x >> 3] |= 1 << (x & 7)
-        y = top - x
-        mirrored[y >> 3] |= 1 << (y & 7)
-    forward = int.from_bytes(forward, "little")
-    mirrored = int.from_bytes(mirrored, "little")
+    forward = _mask(offsets)
+    mirrored = _mask([top - x for x in offsets])
     for b in offsets:
         if 2 * b <= top:
             if ((mirrored >> (top - 2 * b)) & forward).bit_length() > b + 1:

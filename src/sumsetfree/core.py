@@ -5,7 +5,10 @@ sumsets L1 + ... + Lr.  Ground sets live in one of two ambient structures:
 an integer interval, or a finite product of cyclic groups.  A GroundSet is
 a finite immutable subset of an ambient, stored as nothing but the sorted
 array of its element indices: its elements, membership test and bitmask
-are derived from that array on each access.  A SumsetWitness is a decomposition (offset, L1, ..., Lr) certifying that a
+are derived from that array on each access.  One codec turns index sets
+into bitmasks and back for every module, _mask and _indices, both linear
+in the mask's bit length.
+A SumsetWitness is a decomposition (offset, L1, ..., Lr) certifying that a
 sumset lies inside a ground set.  Witnesses are kept in canonical form:
 every summand is translated so its basepoint (minimum for intervals,
 lexicographic minimum for products) is zero, the total translation being
@@ -273,6 +276,39 @@ def _check_bits(top: int) -> None:
         )
 
 
+def _mask(indices) -> int:
+    """The bitmask with bit i set for each index i of a collection, in any
+    order: one pass over a byte buffer, O(max / 8 + len), after
+    _check_bits on the largest."""
+    top = max(indices, default=0)
+    _check_bits(top)
+    buf = bytearray(top // 8 + 1)
+    for i in indices:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _indices(mask: int) -> list[int]:
+    """The set bits of mask, ascending, in O(bit length).  Up to 16 are
+    peeled off lowest first, each at a few operations on the whole int,
+    the cheaper way for small or sparse masks; more are read off one bin()
+    with one rfind per set bit, each scanning down to the next."""
+    out = []
+    if mask.bit_count() <= 16:
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return out
+    digits = bin(mask)
+    last = len(digits) - 1  # the position of bit 0 in digits
+    j = digits.rfind("1")
+    while j > 1:  # digits[:2] is "0b"
+        out.append(last - j)
+        j = digits.rfind("1", 2, j)
+    return out
+
+
 class GroundSet:
     """Immutable finite subset of an ambient, ordered by linearized index.
 
@@ -282,7 +318,7 @@ class GroundSet:
     `elements` is the tuple of one iteration.  Membership checks the
     carrier, so any other value is False, then bisects: O(log |A|).
     `bitmask` (bit i set iff element_at(i) is present), the detector's
-    input, is one pass over a byte buffer, O(max index / 8 + |A|).  An
+    input, is _mask of the indices, O(max index / 8 + |A|).  An
     index of 2^30 or more raises BudgetExceededError when the set is built.
     """
 
@@ -303,10 +339,7 @@ class GroundSet:
 
     @property
     def bitmask(self) -> int:
-        buf = bytearray(self.indices[-1] // 8 + 1 if self.indices else 1)
-        for i in self.indices:
-            buf[i >> 3] |= 1 << (i & 7)
-        return int.from_bytes(buf, "little")
+        return _mask(self.indices)
 
     def __contains__(self, x) -> bool:
         if not self.ambient.contains(x):

@@ -6,9 +6,10 @@ A - d over d in D.  The detector therefore draws D from the nonzero
 differences of A, intersects, and recurses on the signature tail; for a
 single summand the question is whether |A| >= l1.
 
-Everything runs on bitsets.  An element is its linearized index and a set
-is a Python int with bit i set for the element at index i, starting from
-GroundSet.bitmask.  Translating an interval set is one shift; in a
+Everything runs on bitsets: a set is a Python int with bit i set for the
+element at linearized index i.  core's one codec makes and reads them,
+_mask and _indices, both linear in the bit length.  Translating an
+interval set is one shift; in a
 product group it is one masked shift pair per coordinate (_DigitMasks),
 and a product of more than 2^30 elements is refused with
 BudgetExceededError.  Intersection is AND, its size int.bit_count(), and
@@ -18,7 +19,9 @@ edges off the translates A - s.
 
 Each walk reads a level plan, built per call in one pass from the last
 summand: for each summand but the last, its size l and the least number
-of values the summands after it take.  The rooted check asks whether a
+of values the summands after it take.  The walks recurse once per level,
+so a signature past Python's recursion limit raises BudgetExceededError.
+The rooted check asks whether a
 sumset in a set passes through one member, the root; a search or a
 sequence builds it once (_rooted_check) and asks it about its growing
 bitset for each candidate.  On an interval a level with l = 2 walks the
@@ -69,20 +72,13 @@ from .core import (
     StructureError,
     SumsetWitness,
     _grid,
+    _indices,
+    _mask,
     elem_sub,
 )
 
 DEFAULT_DECOMPOSITION_BUDGET = 10**7
-
-
-def _indices(mask: int) -> list[int]:
-    """Positions of the set bits of mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+_TOO_DEEP = "a signature of {} summands nests deeper than Python's recursion limit"
 
 
 class _DigitMasks(dict):
@@ -193,7 +189,7 @@ def _level_plan(lengths: tuple[int, ...], group: bool) -> tuple[tuple[int, int],
     return tuple(reversed(plan))
 
 
-def _decompositions(bits: _Bitsets, mask: int, plan, summands=()):
+def _decompositions(bits: _Bitsets, mask: int, plan):
     """Yield (earlier summands, last) for each last level in mask, in order:
     the earlier summands as shift tuples, one per level of plan, and the
     mask last whose l_r-subsets, first index the offset, each complete a
@@ -208,17 +204,24 @@ def _decompositions(bits: _Bitsets, mask: int, plan, summands=()):
     needs count(d) >= needed, so when that sum is below (l - 1)(needed - 1)
     no shift set qualifies.
     """
-    if len(summands) == len(plan):
-        yield summands, mask
-        return
-    l, needed = plan[len(summands)]
-    shifts = bits.differences(mask)
-    k = mask.bit_count()
-    pairs = k * (k - 1) if bits.digits else k * (k - 1) // 2
-    if pairs - shifts.bit_count() < (l - 1) * (needed - 1):
-        return
-    for combo, inter in bits.meets(mask, _indices(shifts), l - 1, needed):
-        yield from _decompositions(bits, inter, plan, summands + ((0,) + combo,))
+
+    def levels(mask: int, summands: tuple):
+        if len(summands) == len(plan):
+            yield summands, mask
+            return
+        l, needed = plan[len(summands)]
+        shifts = bits.differences(mask)
+        k = mask.bit_count()
+        pairs = k * (k - 1) if bits.digits else k * (k - 1) // 2
+        if pairs - shifts.bit_count() < (l - 1) * (needed - 1):
+            return
+        for combo, inter in bits.meets(mask, _indices(shifts), l - 1, needed):
+            yield from levels(inter, summands + ((0,) + combo,))
+
+    try:
+        yield from levels(mask, ())
+    except RecursionError:
+        raise BudgetExceededError(_TOO_DEEP.format(len(plan) + 1)) from None
 
 
 def _witness_maker(ambient: Ambient):
@@ -312,9 +315,7 @@ def introduces_sumset(
     for callers holding elements; search and greedy build _rooted_check once.
     """
     root = ambient.index(candidate)
-    mask = 1 << root
-    for x in existing:
-        mask |= 1 << ambient.index(x)
+    mask = _mask([root, *map(ambient.index, existing)])
     return _rooted_check(ambient, sig.lengths)(mask, root)
 
 
@@ -336,7 +337,10 @@ def _rooted_check(ambient: Ambient, lengths: tuple[int, ...]):
         return lambda mask, root: mask.bit_count() >= needed
 
     def check(mask: int, root: int) -> bool:
-        return mask.bit_count() >= needed and _rooted_levels(bits, mask, root, plan, 0)
+        try:
+            return mask.bit_count() >= needed and _rooted_levels(bits, mask, root, plan, 0)
+        except RecursionError:  # one level per summand
+            raise BudgetExceededError(_TOO_DEEP.format(len(lengths))) from None
 
     return check
 
@@ -349,7 +353,8 @@ def _rooted_levels(bits: _Bitsets, mask: int, root: int, plan, depth: int) -> bo
     last = depth == len(plan)
     others = mask & ~(1 << root)
     if l == 2 and bits.digits is None:
-        # one shift per member a, lowest first: mask - (a - root)
+        # one shift per member a, lowest first: mask - (a - root); a walk,
+        # not _indices, since most checks stop at one of the first members
         while others:
             low = others & -others
             a = low.bit_length() - 1

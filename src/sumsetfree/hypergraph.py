@@ -64,8 +64,10 @@ from .core import (
     InvalidInputError,
     Signature,
     StructureError,
+    _indices,
+    _mask,
 )
-from .detect import _Bitsets, _indices
+from .detect import _Bitsets
 
 DEFAULT_COMBINATION_BUDGET = 5 * 10**6
 
@@ -292,7 +294,7 @@ def cayley_hypergraph(
     if r > N:
         return Hypergraph(N, r, ())
     total = group.index(_group_total(group))
-    target = sum(1 << bits.diff(a, total) for a in A.indices)  # total - A
+    target = _mask([bits.diff(a, total) for a in A.indices])  # total - A
     subsets = _sum_subsets(bits, target, N, N - r)
     if r * len(subsets) > max_combinations:
         raise BudgetExceededError(

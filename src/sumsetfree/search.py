@@ -78,10 +78,11 @@ from .core import (
     PreconditionError,
     Signature,
     _element_json,
+    _indices,
     elem_add,
 )
 from .construct import _prime_factors
-from .detect import _indices, _rooted_check, contains_sumset
+from .detect import _rooted_check, contains_sumset
 
 DEFAULT_CARDINALITY_BUDGET = 64
 

@@ -42,9 +42,10 @@ from .core import (
     IntegerInterval,
     InvalidInputError,
     Signature,
+    _indices,
 )
 from .construct import DEFAULT_OBSTRUCTION_BUDGET, _delete_maxima, behrend_set
-from .detect import _indices, _rooted_check
+from .detect import _rooted_check
 
 
 def counting_function(A: GroundSet, x) -> int:

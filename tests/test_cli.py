@@ -98,6 +98,18 @@ def test_detect_hilbert(tmp_path, capsys):
     assert json.loads(out) == {"dimension": 3, "free": True}
 
 
+def test_detect_hilbert_past_the_recursion_limit_exits_3(tmp_path):
+    # the walk recurses once per summand: 900 fits Python's default limit,
+    # 990 does not and is refused instead of ending in a RecursionError
+    s = write_interval_set(tmp_path / "s.txt", 1600, range(1, 1601))
+    done = run_module("detect", "--set", s, "--hilbert", "900")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"dimension": 900, "free": False}
+    done = run_module("detect", "--set", s, "--hilbert", "990")
+    assert done.returncode == 3
+    assert "990 summands" in done.stderr and "Traceback" not in done.stderr
+
+
 def test_detect_hilbert_of_huge_dimension_answers_at_once(tmp_path, capsys):
     # the level plan is one pass over the signature; built from its tail
     # slices it took quadratic time, about 46 s at dimension 100 000

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sumsetfree import (
+    BudgetExceededError,
     CyclicProduct,
     GroundSet,
     IntegerInterval,
@@ -17,6 +18,7 @@ from sumsetfree import (
     read_set_file,
     write_set_file,
 )
+from sumsetfree.core import _indices, _mask
 
 
 def test_normalize_sorts_and_validates():
@@ -170,6 +172,32 @@ def test_ground_set_bitmask_matches_indices():
     cp = CyclicProduct((3, 2))
     gs = GroundSet(cp, [(0, 1), (2, 0)])
     assert gs.bitmask == (1 << cp.index((0, 1))) | (1 << cp.index((2, 0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.integers(0, 300), max_size=600),  # dense
+        st.lists(st.integers(0, 3 * 10**5), max_size=40),  # sparse, past 10^5 bits
+    )
+)
+def test_mask_and_indices_round_trip(xs):
+    mask = _mask(xs)
+    assert mask == sum(1 << x for x in set(xs))
+    assert _indices(mask) == sorted(set(xs))
+
+
+def test_mask_and_indices_edge_cases():
+    assert _mask([]) == 0 and _indices(0) == []
+    assert _mask([0]) == 1 and _indices(1) == [0]
+    assert _indices(_mask(range(5000))) == list(range(5000))
+    assert _indices(1 << 10**6 | 1 << 10**5) == [10**5, 10**6]
+    # either side of the 16 set bits up to which _indices walks the int
+    for k in (16, 17):
+        xs = list(range(0, 10**5 * k, 10**5))
+        assert _indices(_mask(xs)) == xs
+    with pytest.raises(BudgetExceededError, match="bitset limit"):
+        _mask([3, 2**30])
 
 
 def test_set_file_round_trip(tmp_path):

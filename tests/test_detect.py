@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -30,6 +31,7 @@ from sumsetfree import (
     zp3_construction,
 )
 
+from sumsetfree import detect
 from sumsetfree.detect import _Bitsets, _level_plan, _rooted_check, _valued
 
 from oracles import (
@@ -609,3 +611,61 @@ def test_count_all_matches_direct_loops():
                     frozenset(x + sum(p) for p in itertools.product(*combo))
                 )
             assert count_all_sumsets(n, sig) == (len(decomps), len(value_sets))
+
+
+def test_pair_detection_on_a_wide_random_set_is_fast():
+    # the difference mask spans 4·10^5 bits, most of them set; decoding it
+    # with a copy of the whole int per set bit took about 9 s
+    A = interval_set(random.Random(0).sample(range(1, 4 * 10**5 + 1), 8000), 4 * 10**5)
+    start = time.perf_counter()
+    w = contains_sumset(A, SIG22)
+    assert time.perf_counter() - start < 3.0
+    assert w is not None and w.is_valid_for(A)
+
+
+def test_introduces_sumset_refuses_an_index_past_the_bitset_limit():
+    n = 2**30 + 1
+    with pytest.raises(BudgetExceededError, match="bitset limit"):
+        introduces_sumset([], n, SIG22, IntegerInterval(n))
+
+
+def test_detection_past_the_recursion_limit_is_a_budget_error():
+    A = interval_set(range(1, 1601))
+    with pytest.raises(BudgetExceededError, match="990 summands"):
+        is_hilbert_cube_free(A, 990)
+    with pytest.raises(BudgetExceededError, match="990 summands"):
+        next(enumerate_sumsets(A, Signature((2,) * 990)))
+
+
+def test_digit_masks_started_afresh_give_the_same_answers(monkeypatch):
+    # with the kept digit masks capped at three group sizes, every _Bitsets
+    # over Z_9^2 empties its masks again and again mid-walk
+    ambient = CyclicProduct((9, 9))
+    rng = random.Random(9)
+    cases = [
+        (GroundSet(ambient, map(ambient.element_at, rng.sample(range(81), k))), sig)
+        for k, sig in [(12, SIG22), (20, SIG22), (24, SIG23), (30, SIG222), (40, SIG222)]
+    ]
+
+    def answers():
+        out = []
+        for A, sig in cases:
+            check = _rooted_check(ambient, sig.lengths)
+            out.append((
+                contains_sumset(A, sig),
+                list(enumerate_sumsets(A, sig)),
+                [check(A.bitmask, i) for i in A.indices],
+            ))
+        return out
+
+    expected = answers()
+    clears = []
+    clear = detect._DigitMasks.clear
+    monkeypatch.setattr(detect, "_MAX_BITS", 3 * 81)
+    monkeypatch.setattr(
+        detect._DigitMasks, "clear", lambda self: clears.append(1) or clear(self)
+    )
+    assert answers() == expected
+    assert len(clears) > 10
+    assert any(w is not None for w, _, _ in expected)
+    assert any(any(hits) for _, _, hits in expected)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sumsetfree import (
+    BudgetExceededError,
     DyadicParams,
     GroundSet,
     IntegerInterval,
@@ -41,6 +42,11 @@ def test_greedy_pair_free_is_mian_chowla():
 def test_greedy_matches_difference_oracle():
     for limit in (10, 45, 120, 300):
         assert greedy_sequence(SIG22, limit).elements == tuple(greedy_sidon(limit))
+
+
+def test_greedy_past_the_recursion_limit_is_a_budget_error():
+    with pytest.raises(BudgetExceededError, match="1500 summands"):
+        greedy_sequence(Signature((2,) * 1500), 1600)
 
 
 def test_greedy_other_signatures():
