@@ -273,10 +273,7 @@ def _cmd_enumerate(args):
 
 def _cmd_search(args):
     sig = _parse_signature(args.signature)
-    if args.n is not None:
-        ambient = IntegerInterval(args.n)
-    else:
-        ambient = _parse_moduli(args.moduli)
+    ambient = IntegerInterval(args.n) if args.n is not None else _parse_moduli(args.moduli)
     # a negative budget exits 2 even with --allow-large; LFREE_BUDGET
     # leaves it alone
     budget = args.cardinality_budget
@@ -318,14 +315,10 @@ def _fraction_text(value: Fraction) -> str:
 
 def _cmd_bounds(args):
     if args.overlap:
-        for name in ("a", "b", "x"):
+        for name in ("a", "b", "x", "r"):
             if getattr(args, name) is None:
                 raise InvalidInputError(f"--overlap needs --{name}")
-        if args.r is None:
-            raise InvalidInputError("--overlap needs --r")
-        a = read_set_file(args.a)
-        b = read_set_file(args.b)
-        x = read_set_file(args.x)
+        a, b, x = map(read_set_file, (args.a, args.b, args.x))
         if a and b and x and args.r > 0:
             # refused before overlap_check, so refusing costs O(1) or O(r)
             if args.r > len(b):
@@ -381,17 +374,12 @@ def _cmd_construct_random(args):
             args.n, sig, args.seed, max_attempts=args.retries,
             max_obstructions=budget,
         )
-        payload = report.to_dict()
-        payload["attempts"] = attempts
-        payload["succeeded"] = succeeded
+        payload = {**report.to_dict(), "attempts": attempts, "succeeded": succeeded}
     else:
         report = random_deletion(args.n, sig, args.seed, max_obstructions=budget)
         payload = report.to_dict()
     _maybe_save(report.result, args.save_set)
-    return payload, (
-        "row",
-        ["n", "signature", "seed", "p", "sizes.S", "sizes.bad", "sizes.A"],
-    )
+    return payload, ("row", ["n", "signature", "seed", "p", "sizes.S", "sizes.bad", "sizes.A"])
 
 
 def _cmd_construct_zp3(args):
@@ -447,14 +435,8 @@ def _cmd_hypergraph_best_translate(args):
     if not isinstance(gs.ambient, CyclicProduct):
         raise StructureError("best-translate expects a product-group set file")
     budget = _budget(args.max_combinations, DEFAULT_COMBINATION_BUDGET)
-    x, count, mean = best_translate(
-        gs.ambient, gs, args.r, max_combinations=budget
-    )
-    payload = {
-        "translate": _element_json(x),
-        "edges": count,
-        "mean": str(mean),
-    }
+    x, count, mean = best_translate(gs.ambient, gs, args.r, max_combinations=budget)
+    payload = {"translate": _element_json(x), "edges": count, "mean": str(mean)}
     return payload, ("row", ["translate", "edges", "mean"])
 
 
@@ -472,16 +454,10 @@ def _cmd_sequence_greedy(args):
 
 
 def _statistics_payload(prefix: GroundSet, sig: Signature, xs) -> list:
-    out = []
-    for x in xs:
-        out.append(
-            {
-                "x": x,
-                "count": counting_function(prefix, x),
-                "stat": liminf_statistic(prefix, sig, x),
-            }
-        )
-    return out
+    return [
+        {"x": x, "count": counting_function(prefix, x), "stat": liminf_statistic(prefix, sig, x)}
+        for x in xs
+    ]
 
 
 def _cmd_sequence_dyadic(args):

@@ -111,9 +111,9 @@ def behrend_set(n: int) -> GroundSet:
     result is re-checked, exactly, for 3-term progressions by the bitset
     sweep of _has_progression: one shift and one AND per element b over
     2 * min(b, top - b) + 1 bits with top < n the span, O(|result| * n) bit
-    operations in all.  Past
-    n = 3^19 a value would index beyond the 2^30-bit limit, so such n raise
-    BudgetExceededError before any value is listed.
+    operations in all.  Past n = 3^19 a value would index beyond the
+    2^30-bit limit, so such n raise BudgetExceededError before any value
+    is listed.
     """
     if not isinstance(n, int) or n < 1:
         raise InvalidInputError(f"interval length must be a positive integer, got {n!r}")
@@ -298,10 +298,7 @@ def mixed_radix_embed(A: GroundSet) -> GroundSet:
     weights = [1]
     for m in moduli[:-1]:
         weights.append(weights[-1] * 2 * m)
-    span = 2 ** (len(moduli) - 1)
-    for m in moduli:
-        span *= m
-    ambient = IntegerInterval(span - 1, lo=0)
+    ambient = IntegerInterval(2 ** (len(moduli) - 1) * A.ambient.cardinality - 1, lo=0)
     images = (sum(x * w for x, w in zip(el, weights)) for el in A)
     return GroundSet(ambient, images)
 

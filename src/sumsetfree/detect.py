@@ -9,25 +9,24 @@ single summand the question is whether |A| >= l1.
 Everything runs on bitsets: a set is a Python int with bit i set for the
 element at linearized index i.  core's one codec makes and reads them,
 _mask and _indices, both linear in the bit length.  Translating an
-interval set is one shift; in a
-product group it is one masked shift pair per coordinate (_DigitMasks),
-and a product of more than 2^30 elements is refused with
-BudgetExceededError.  Intersection is AND, its size int.bit_count(), and
-the differences of A are the OR of the translates A - a over a in A.
-Element tuples appear only in witnesses.  The sum hypergraph reads its
-edges off the translates A - s.
+interval set is one shift; in a product group it is one masked shift
+pair per coordinate (_DigitMasks), and a product of more than 2^30
+elements is refused with BudgetExceededError.  Intersection is AND, its
+size int.bit_count(), and the differences of A are the OR of the
+translates A - a over a in A.  Element tuples appear only in witnesses.
+The sum hypergraph reads its edges off the translates A - s.
 
 Each walk reads a level plan, built per call in one pass from the last
 summand: for each summand but the last, its size l and the least number
 of values the summands after it take.  The walks recurse once per level,
 so a signature past Python's recursion limit raises BudgetExceededError.
-The rooted check asks whether a
-sumset in a set passes through one member, the root; a search or a
-sequence builds it once (_rooted_check) and asks it about its growing
-bitset for each candidate.  On an interval a level with l = 2 walks the
-other members a directly, lowest first, at one shift (up or down by
-|a - root|), one AND and one popcount each; larger summands and every
-level in a product group take their shift sets from _Bitsets.meets.
+The rooted check asks whether a sumset in a set passes through one
+member, the root; a search or a sequence builds it once (_rooted_check)
+and asks it about its growing bitset for each candidate.  On an interval
+a level with l = 2 walks the other members a directly, lowest first, at
+one shift (up or down by |a - root|), one AND and one popcount each;
+larger summands and every level in a product group take their shift sets
+from _Bitsets.meets.
 
 Shifts d2 < ... < d_l1 are taken in increasing linearized order and the
 first witness found is returned, so detection is deterministic.  For

@@ -213,9 +213,7 @@ def max_free_set(
     witness = GroundSet(ambient, map(ambient.element_at, _indices(best_mask)))
     if contains_sumset(witness, sig) is not None:
         raise RuntimeError("internal error: reported witness is not free")
-    return SearchReport(
-        sig, best_size, witness, nodes, time.perf_counter() - start, pruned
-    )
+    return SearchReport(sig, best_size, witness, nodes, time.perf_counter() - start, pruned)
 
 
 def _orbit_key(moduli: tuple[int, ...]):

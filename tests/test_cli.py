@@ -486,6 +486,17 @@ def test_sidon_parabola_in_a_large_group_fits_512_mib(tmp_path):
     assert json.loads(proc.stdout) == {"sidon": True}
 
 
+def test_sparse_set_near_the_bitset_limit_fits_512_mib(tmp_path):
+    # {2^30 - 2^k}, a Sidon set of 20 elements whose bitmask is 128 MiB:
+    # decoding it through one bin() string of 2^30 characters, or copying
+    # the int once per set bit, ran out of memory
+    n = 2**30 - 1
+    s = write_interval_set(tmp_path / "s.txt", n, [2**30 - 2**k for k in range(10, 30)])
+    proc = run_module("detect", "--set", s, "--sidon", cap_mb=512)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"sidon": True}
+
+
 def test_l222_past_bitset_limit_exits_before_building(capsys):
     # p = 787: its 614 656 triples took seconds and some 300 MB before the
     # first image past 2^30 was refused; 4 (p - 1)^2 (p - 2) bounds the

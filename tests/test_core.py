@@ -192,9 +192,8 @@ def test_mask_and_indices_edge_cases():
     assert _mask([0]) == 1 and _indices(1) == [0]
     assert _indices(_mask(range(5000))) == list(range(5000))
     assert _indices(1 << 10**6 | 1 << 10**5) == [10**5, 10**6]
-    # either side of the 16 set bits up to which _indices walks the int
-    for k in (16, 17):
-        xs = list(range(0, 10**5 * k, 10**5))
+    # either side of the 4 KiB (32 768-bit) pieces _indices reads at a time
+    for xs in ([32767, 32768], [0, 32767, 32768, 65535, 65536], list(range(32000, 33000))):
         assert _indices(_mask(xs)) == xs
     with pytest.raises(BudgetExceededError, match="bitset limit"):
         _mask([3, 2**30])
