@@ -47,6 +47,7 @@ from .core import (
     Signature,
     StructureError,
     _element_json,
+    _elements_json,
     normalize_signature,
     read_set_file,
     write_set_file,
@@ -137,7 +138,7 @@ def _set_payload(gs: GroundSet) -> dict:
     return {
         "ambient": gs.ambient.describe(),
         "size": len(gs),
-        "elements": [_element_json(x) for x in gs],
+        "elements": _elements_json(gs),
     }
 
 

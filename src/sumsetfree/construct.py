@@ -33,6 +33,16 @@ carries no pair-sumset of three summands.  mixed_radix_embed maps a
 product-group set into an interval through doubled moduli, which keeps
 coordinates carry-free so freeness transfers, and integer_l222_construction
 chains the two for the largest admissible prime.
+
+Every construction works on element indices and makes no element: it
+hands sorted, distinct indices to GroundSet._from_indices, which neither
+sorts nor maps them again.  zp3_construction emits the index
+(dlog u * m + dlog v) * m + dlog w, m = p - 1, already in order;
+mixed_radix_embed maps each index to its image by its digits and sorts
+once; the l222 interval and the embedding's both start at 0, so the
+images are the indices of both.  behrend_set's sorted values x are the
+indices of its elements x + 1, and the deletion step samples, deletes
+and re-checks indices.
 """
 
 from __future__ import annotations
@@ -120,7 +130,7 @@ def behrend_set(n: int) -> GroundSet:
     values = _digits01_values(n)
     if _has_progression(values):
         raise RuntimeError("internal error: constructed set has a 3-term progression")
-    return GroundSet(IntegerInterval(n), (v + 1 for v in values))
+    return GroundSet._from_indices(IntegerInterval(n), values)  # x + 1 has index x
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +181,21 @@ def random_deletion(
     the signature and w is the realized density exponent of the base set.
     Every run returns a set that the detector confirms free; only its size
     is random.  The same (n, sig, seed) always yields the same report.
+
+    This is the deletion argument of the paper's probabilistic lower
+    bound, a free subset of [1, n] of size about n^(1 - (S - r)/(P - 1))
+    (lower_bound_exponent): sample each element independently, then
+    delete one element of every surviving sumset.  The paper samples all
+    of [1, n] at density n^(-(S - r)/(P - 1)), which balances the
+    n^(1 + S - r) sumsets of [1, n], each kept with probability p^P,
+    against the sample n p.  Here the base B is the ternary set, |B| =
+    n^w with w near log 2 / log 3, and p is tuned with w as written above;
+    balancing the same count against the sample n^w p would give the
+    exponent (w - 1 + r - S)/(P - 1) instead.  The expected sample |B| p
+    grows like n^((w (P - 2) + r - S)/(P - 1)): about n^-0.25 for (2, 2),
+    n^-0.10 for (2, 3) and n^0.11 for (2, 2, 2).  So the smallest
+    signatures sample almost nothing at any n the bitset limit admits;
+    n = 10^6 with (2, 2) samples no element.
     """
     return next(_deletions(n, sig, seed, max_obstructions))
 
@@ -190,20 +215,22 @@ def _deletions(n: int, sig: Signature, seed: int, max_obstructions: int):
     p = 0.5 * n**exponent
     for s in itertools.count(seed):
         rng = random.Random(s)
-        sampled = GroundSet(IntegerInterval(n), (b for b in base if rng.random() < p))
+        # one draw per base element, ascending, as over the elements
+        kept = [i for i in base.indices if rng.random() < p]
+        sampled = GroundSet._from_indices(base.ambient, kept)
         maxima, result = _delete_maxima(sampled, sig, max_obstructions)
-        yield DeletionReport(
-            n, sig, s, p, len(base), sampled, tuple(sorted(set(maxima))), result
-        )
+        deleted = GroundSet._from_indices(base.ambient, sorted(set(maxima)))
+        yield DeletionReport(n, sig, s, p, len(base), sampled, tuple(deleted), result)
 
 
 def _delete_maxima(A: GroundSet, sig: Signature, limit: int):
-    """(maxima, rest): the largest value of each distinct value set of a
-    forbidden sumset in A, one entry per value set, and A without them,
-    re-checked free.  At most limit decompositions are enumerated."""
-    value_sets = {values for values, _ in _valued(A, sig, limit)}
-    maxima = [A.ambient.element_at(vs.bit_length() - 1) for vs in value_sets]
-    rest = GroundSet(A.ambient, set(A).difference(maxima))
+    """(maxima, rest): the index of the largest value of each distinct
+    value set of a forbidden sumset in A, one entry per value set, and A
+    without them, re-checked free.  At most limit decompositions are
+    enumerated."""
+    maxima = [vs.bit_length() - 1 for vs in {values for values, _ in _valued(A, sig, limit)}]
+    gone = set(maxima)
+    rest = GroundSet._from_indices(A.ambient, [i for i in A.indices if i not in gone])
     if contains_sumset(rest, sig) is not None:
         raise RuntimeError("internal error: deletion left a forbidden sumset")
     return maxima, rest
@@ -273,16 +300,20 @@ def zp3_construction(p: int) -> GroundSet:
         _check_bits((p - 1) ** 3 - 1)
     if next(_prime_factors(p), None) != p or p < 5:
         raise InvalidInputError(f"expected a prime >= 5, got {p!r}")
-    ambient = CyclicProduct((p - 1, p - 1, p - 1))
+    m = p - 1
     theta = primitive_root(p)
-    dlog = {pow(theta, e, p): e for e in range(p - 1)}
-    triples = (
-        (dlog[u], dlog[v], dlog[w])
-        for u in range(2, p)
-        for v in range(2, p)
-        if (w := (1 - u - v) % p) not in (0, 1)
-    )
-    return GroundSet(ambient, triples)
+    power = [pow(theta, e, p) for e in range(m)]
+    dlog = {x: e for e, x in enumerate(power)}
+    # Each (dlog u, dlog v) = (a, b) with u, v != 1 (a, b >= 1) fixes the
+    # triple, whose index is (a m + b) m + dlog w with dlog w < m, so a
+    # and b ascending list the indices in order: nothing to sort.
+    indices = []
+    for a in range(1, m):
+        row, rest = a * m, 1 - power[a]
+        indices += [
+            (row + b) * m + dlog[w] for b in range(1, m) if (w := (rest - power[b]) % p) > 1
+        ]
+    return GroundSet._from_indices(CyclicProduct((m, m, m)), indices)
 
 
 def mixed_radix_embed(A: GroundSet) -> GroundSet:
@@ -299,8 +330,16 @@ def mixed_radix_embed(A: GroundSet) -> GroundSet:
     for m in moduli[:-1]:
         weights.append(weights[-1] * 2 * m)
     ambient = IntegerInterval(2 ** (len(moduli) - 1) * A.ambient.cardinality - 1, lo=0)
-    images = (sum(x * w for x, w in zip(el, weights)) for el in A)
-    return GroundSet(ambient, images)
+    strides = [1] * len(moduli)  # an index is the sum of digit * stride
+    for j in range(len(moduli) - 2, -1, -1):
+        strides[j] = strides[j + 1] * moduli[j + 1]
+    # index to image, one pass per coordinate; the interval starts at 0,
+    # so an image is its own index
+    images = [0] * len(A)
+    for s, m, w in zip(strides, moduli, weights):
+        images = [v + i // s % m * w for v, i in zip(images, A.indices)]
+    images.sort()
+    return GroundSet._from_indices(ambient, images)
 
 
 def integer_l222_prime(n: int) -> int:
@@ -331,4 +370,5 @@ def integer_l222_construction(n: int) -> GroundSet:
     p = integer_l222_prime(n)
     _check_bits(4 * (p - 1) ** 2 * (p - 2))
     embedded = mixed_radix_embed(zp3_construction(p))
-    return GroundSet(IntegerInterval(n - 1, lo=0), embedded)
+    # both intervals start at 0, so the indices carry over as they are
+    return GroundSet._from_indices(IntegerInterval(n - 1, lo=0), embedded.indices)

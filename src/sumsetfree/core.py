@@ -5,7 +5,9 @@ sumsets L1 + ... + Lr.  Ground sets live in one of two ambient structures:
 an integer interval, or a finite product of cyclic groups.  A GroundSet is
 a finite immutable subset of an ambient, stored as nothing but the sorted
 array of its element indices: its elements, membership test and bitmask
-are derived from that array on each access.  One codec turns index sets
+are derived from that array on each access.  Code that already holds
+sorted indices builds the set from them with no element round trip, and
+an interval set's elements are lo + index.  One codec turns index sets
 into bitmasks and back for every module, _mask and _indices, both linear
 in the mask's bit length.  A SumsetWitness is a decomposition (offset,
 L1, ..., Lr) certifying that a sumset lies inside a ground set.
@@ -308,18 +310,42 @@ class GroundSet:
 
     Only the ambient and `indices`, an array of the sorted element indices
     (8 bytes each), are stored; the rest is derived per access, uncached.
-    len is O(1).  Iteration maps element_at over the indices lazily, and
-    `elements` is the tuple of one iteration.  Membership checks the
-    carrier, so any other value is False, then bisects: O(log |A|).
-    `bitmask` (bit i set iff element_at(i) is present), the detector's
-    input, is _mask of the indices, O(max index / 8 + |A|).  An
+    Two constructors fill that array.  GroundSet(ambient, elements), the
+    one for outside input (set files, public callers), maps each element
+    to its index with ambient.index, then dedups and sorts.  The private
+    _from_indices takes indices that are already sorted and distinct, the
+    invariant its callers keep: the constructions, the sequences and the
+    search witnesses compute indices and never make elements.  It checks
+    only the two ends, inside the ambient and below 2^30.
+
+    len is O(1).  Iteration is lazy: lo + index on an interval, element_at
+    on a product; `elements` is the tuple of one iteration.  Membership
+    checks the carrier, so any other value is False, then bisects:
+    O(log |A|).  `bitmask` (bit i set iff element_at(i) is present), the
+    detector's input, is _mask of the indices, O(max index / 8 + |A|).  An
     index of 2^30 or more raises BudgetExceededError when the set is built.
     """
 
     __slots__ = ("ambient", "indices")
 
     def __init__(self, ambient: Ambient, elements: Iterable[Element] = ()):
-        indices = sorted({ambient.index(x) for x in elements})  # StructureError off the carrier
+        # StructureError off the carrier
+        self._hold(ambient, sorted({ambient.index(x) for x in elements}))
+
+    @classmethod
+    def _from_indices(cls, ambient: Ambient, indices) -> "GroundSet":
+        """The set of the elements at indices, a sequence of ints that the
+        caller keeps sorted and distinct; it is neither sorted nor scanned.
+        Only its ends are checked: StructureError when one lies outside
+        the ambient, BudgetExceededError when the top one is 2^30 or more."""
+        A = cls.__new__(cls)
+        A._hold(ambient, indices)
+        return A
+
+    def _hold(self, ambient: Ambient, indices) -> None:
+        if indices and not (indices[0] >= 0 and indices[-1] < ambient.cardinality):
+            bad = indices[0] if indices[0] < 0 else indices[-1]
+            raise StructureError(f"index {bad} out of range for {ambient}")
         _check_bits(indices[-1] if indices else 0)
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "indices", array("q", indices))
@@ -343,6 +369,8 @@ class GroundSet:
         return j < len(self.indices) and self.indices[j] == i
 
     def __iter__(self):
+        if isinstance(self.ambient, IntegerInterval):
+            return map(self.ambient.lo.__add__, self.indices)
         return map(self.ambient.element_at, self.indices)
 
     def __len__(self) -> int:
@@ -365,8 +393,19 @@ class GroundSet:
 
     def to_text(self) -> str:
         lines = [f"#ambient {self.ambient.describe()}"]
-        lines += (",".join(map(str, x)) if isinstance(x, tuple) else str(x) for x in self)
+        if isinstance(self.ambient, IntegerInterval):
+            lines += map(str, self)
+        else:
+            lines += (",".join(map(str, x)) for x in self)
         return "\n".join(lines) + "\n"
+
+
+def _elements_json(A: GroundSet) -> list:
+    """The elements of A as JSON encodes them, in index order: a product
+    element as a list, an interval element as lo + index."""
+    if isinstance(A.ambient, IntegerInterval):
+        return list(A)
+    return [list(x) for x in A]
 
 
 def _parse_int(token: str, lineno: int) -> int:

@@ -529,6 +529,6 @@ def count_all_sumsets(
     e = sig.total - sig.r + 1
     if e * (n.bit_length() - 1) >= budget.bit_length() or n**e > budget:
         raise BudgetExceededError(f"decomposition space {n}^{e} exceeds budget {budget}")
-    A = GroundSet(IntegerInterval(n), range(1, n + 1))
+    A = GroundSet._from_indices(IntegerInterval(n), range(n))
     value_sets = Counter(values for values, _ in _valued(A, sig))
     return sum(value_sets.values()), len(value_sets)

@@ -67,7 +67,7 @@ from .core import (
     _indices,
     _mask,
 )
-from .detect import _Bitsets
+from .detect import _TOO_DEEP, _Bitsets
 
 DEFAULT_COMBINATION_BUDGET = 5 * 10**6
 
@@ -373,6 +373,9 @@ def contains_complete_rpartite(
     links of the (r-1)-subsets of edges, built a column of the edge list at
     a time.  The scan is deterministic (edges in sorted order, candidates
     ascending) and the first witness found is returned, each class sorted.
+    The search recurses once per class and once per vertex it places, so a
+    signature too long for Python's recursion limit raises
+    BudgetExceededError, as the detection walks do.
     """
     if sig.r != graph.r:
         raise InvalidInputError(
@@ -427,9 +430,12 @@ def contains_complete_rpartite(
         for k in range(low, len(rest) - (run_end - i) + 1):
             yield from seeds(rest[:k] + rest[k + 1 :], placed + (rest[k],))
 
-    for edge in graph.edges:
-        for perm in seeds(edge):
-            found = grow([(v,) for v in perm])
-            if found is not None:
-                return found
+    try:  # seeds and grow recurse once per class and once per vertex
+        for edge in graph.edges:
+            for perm in seeds(edge):
+                found = grow([(v,) for v in perm])
+                if found is not None:
+                    return found
+    except RecursionError:
+        raise BudgetExceededError(_TOO_DEEP.format(r)) from None
     return None

@@ -77,7 +77,7 @@ from .core import (
     InvalidSignatureError,
     PreconditionError,
     Signature,
-    _element_json,
+    _elements_json,
     _indices,
     elem_add,
 )
@@ -106,7 +106,7 @@ class SearchReport:
             "ambient": self.witness.ambient.describe(),
             "signature": list(self.signature.lengths),
             "F": self.best_size,
-            "witness": [_element_json(x) for x in self.witness],
+            "witness": _elements_json(self.witness),
             "nodes": self.nodes_explored,
             "ms": round(self.runtime_s * 1000.0, 3),
         }
@@ -138,7 +138,7 @@ def max_free_set(
     if sig.r == 1:
         # free sets are exactly those with fewer elements than the summand
         k = min(N, sig.lengths[0] - 1)
-        witness = GroundSet(ambient, (ambient.element_at(i) for i in range(k)))
+        witness = GroundSet._from_indices(ambient, range(k))
         return SearchReport(sig, k, witness, 0, time.perf_counter() - start, {})
 
     check = _rooted_check(ambient, sig.lengths)
@@ -210,7 +210,7 @@ def max_free_set(
         for m in range(2, N):
             doll.append(solve(m, doll[m - 1], doll[m - 1] + 1)[0])
     best_size, best_mask = solve(N, 1, doll[N - 1] + 1)
-    witness = GroundSet(ambient, map(ambient.element_at, _indices(best_mask)))
+    witness = GroundSet._from_indices(ambient, _indices(best_mask))
     if contains_sumset(witness, sig) is not None:
         raise RuntimeError("internal error: reported witness is not free")
     return SearchReport(sig, best_size, witness, nodes, time.perf_counter() - start, pruned)

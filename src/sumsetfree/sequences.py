@@ -79,7 +79,7 @@ def greedy_sequence(sig: Signature, limit: int) -> GroundSet:
         grown = mask | 1 << i
         if not check(grown, i):
             mask = grown
-    return GroundSet(ambient, map(ambient.element_at, _indices(mask)))
+    return GroundSet._from_indices(ambient, _indices(mask))
 
 
 # ---------------------------------------------------------------------------
@@ -161,26 +161,31 @@ def dyadic_random_sequence(
     """
     alpha = (sig.total - sig.r) / (sig.product - 1) + params.epsilon / 2.0
     block_data = []
+    # indices in the interval from 1: the block's value start + j, for j
+    # an index of its base, has index start - 1 + j.  The blocks ascend and
+    # do not overlap, so the union stays sorted.
     sampled_union: list[int] = []
     for m in range(params.m_min, params.m_max + 1):
         start = 4 ** (m + 2)
         size = 4**m
         base = behrend_set(size)
-        shifted = [start - 1 + b for b in base]
         stream = _block_stream(params.seed, m)
-        kept = [v for v in shifted if stream.random() < v ** (-alpha)]
+        kept = [start - 1 + j for j in base.indices if stream.random() < (start + j) ** (-alpha)]
         dense = len(base) >= size ** (1.0 - params.epsilon / 2.0)
         block_data.append((m, start, size, len(base), kept, dense))
         sampled_union.extend(kept)
 
     top = params.m_max
     ambient = IntegerInterval(4 ** (top + 2) + 4**top)
-    maxima, free = _delete_maxima(GroundSet(ambient, sampled_union), sig, max_obstructions)
+    sampled = GroundSet._from_indices(ambient, sampled_union)
+    maxima, free = _delete_maxima(sampled, sig, max_obstructions)
+    gone = set(maxima)
 
     blocks = []
     for m, start, size, base_size, kept, dense in block_data:
-        obstruction_count = sum(1 for v in maxima if start <= v < start + size)
-        retained = sum(1 for v in kept if v in free)
+        # index i holds the value i + 1
+        obstruction_count = sum(1 for i in maxima if start <= i + 1 < start + size)
+        retained = len(kept) - sum(1 for i in gone if start <= i + 1 < start + size)
         blocks.append(
             BlockOutcome(
                 m, start, size, base_size, len(kept), obstruction_count,

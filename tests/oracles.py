@@ -210,6 +210,21 @@ def ternary_01_set(n):
     return tuple((np.flatnonzero(keep) + 1).tolist())
 
 
+def zp3_triples(p):
+    """The discrete-log triples (dlog u, dlog v, dlog w) of u + v + w = 1
+    mod the prime p with u, v, w outside {0, 1}, as sorted tuples; the
+    logs are to the least residue whose powers reach every unit."""
+    units = set(range(1, p))
+    theta = next(g for g in range(2, p) if {pow(g, e, p) for e in range(p - 1)} == units)
+    dlog = {pow(theta, e, p): e for e in range(p - 1)}
+    return sorted(
+        (dlog[u], dlog[v], dlog[w])
+        for u in range(2, p)
+        for v in range(2, p)
+        if (w := (1 - u - v) % p) not in (0, 1)
+    )
+
+
 def sidon_by_sums(values):
     """Classical integer test: all pairwise sums a + b, a <= b, distinct."""
     vals = sorted(set(values))

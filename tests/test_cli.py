@@ -110,6 +110,16 @@ def test_detect_hilbert_past_the_recursion_limit_exits_3(tmp_path):
     assert "990 summands" in done.stderr and "Traceback" not in done.stderr
 
 
+def test_hypergraph_check_past_the_recursion_limit_exits_3(tmp_path):
+    # one edge of 1100 vertices: seeding 1100 classes of two recursed past
+    # Python's limit and exited 1 with a traceback
+    graph = tmp_path / "edge.graph"
+    graph.write_text("#hypergraph n=1200 r=1100\n" + " ".join(map(str, range(1100))) + "\n")
+    done = run_module("hypergraph", "check", "--graph", str(graph), "--signature", twos(1100))
+    assert (done.returncode, done.stdout) == (3, "")
+    assert "1100 summands" in done.stderr and "Traceback" not in done.stderr
+
+
 def test_detect_hilbert_of_huge_dimension_answers_at_once(tmp_path, capsys):
     # the level plan is one pass over the signature; built from its tail
     # slices it took quadratic time, about 46 s at dimension 100 000
@@ -368,6 +378,21 @@ def test_construct_l222(capsys):
     payload = json.loads(out)
     assert payload["p"] == 5
     assert payload["size"] == 4
+
+
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        (5000000, "fab83a0abadb8f9a3c3bb4394fe6e308b9989c7767533c8fd0d141ef450feb13"),
+        (100000000, "942811b2f930bedf1e421823d78e3690a92afcbc1f832eeae283a5331a28e47a"),
+    ],
+)
+def test_construct_l222_stdout_is_frozen(capsys, n, digest):
+    # the reports as they were when the set went through one element tuple
+    # per index; 10^9 is pinned under a memory cap below
+    code, out, _ = run_cli(capsys, "construct", "l222", "--n", str(n))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_hypergraph_flow(tmp_path, capsys):

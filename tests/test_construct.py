@@ -36,6 +36,7 @@ from oracles import (
     has_progression_by_pairs,
     interval_decompositions,
     ternary_01_set,
+    zp3_triples,
 )
 
 SIG222 = Signature((2, 2, 2))
@@ -268,6 +269,16 @@ def test_log_surface_defining_equation():
             assert total % p == 1
 
 
+def test_log_surface_from_indices_matches_tuple_oracle():
+    # the construction computes each index from the logs of u and v and
+    # builds no tuple; the oracle builds the tuples and sorts them
+    primes = [p for p in range(5, 62) if all(p % q for q in range(2, p))]
+    assert len(primes) == 16
+    for p in primes:
+        z = zp3_construction(p)
+        assert z == GroundSet(CyclicProduct((p - 1,) * 3), zp3_triples(p)), p
+
+
 def test_log_surface_rejects_non_primes():
     for bad in (2, 3, 4, 6):
         with pytest.raises(InvalidInputError):
@@ -286,6 +297,29 @@ def test_embedding_weights():
     e = mixed_radix_embed(g)
     assert e.elements == (0, 13, 26)
     assert e.ambient.describe() == "interval n=29 lo=0"
+
+
+@st.composite
+def product_sets(draw):
+    # Z_1 alone would embed into [0, 0], which no interval ambient holds
+    moduli = draw(st.lists(st.integers(1, 7), min_size=1, max_size=4).filter(lambda ms: ms != [1]))
+    ambient = CyclicProduct(tuple(moduli))
+    indices = draw(st.sets(st.integers(0, ambient.cardinality - 1), max_size=40))
+    return GroundSet(ambient, map(ambient.element_at, indices))
+
+
+@given(product_sets())
+def test_embedding_index_map_matches_element_formula(g):
+    # the embedding maps indices to images by digits; the images are the
+    # weighted sums of coordinates, each weight twice the one before times
+    # the modulus between them
+    weights = [1]
+    for m in g.ambient.moduli[:-1]:
+        weights.append(weights[-1] * 2 * m)
+    images = sorted(sum(x * w for x, w in zip(el, weights)) for el in g)
+    e = mixed_radix_embed(g)
+    assert e.elements == tuple(images)
+    assert e.ambient == IntegerInterval(2 ** (len(weights) - 1) * g.ambient.cardinality - 1, lo=0)
 
 
 def test_embedding_preserves_pair_freeness_small():

@@ -161,11 +161,31 @@ def test_ground_set_contract(case):
     if members:
         assert gs != GroundSet(ambient, ordered[1:])
     assert parse_set_text(gs.to_text()) == gs
+    assert GroundSet._from_indices(ambient, sorted(map(ambient.index, members))) == gs
     for i in range(ambient.cardinality):
         x = ambient.element_at(i)
         assert (x in gs) == (x in members), x
     for x in foreign_values(ambient):
         assert x not in gs, x
+
+
+def test_ground_set_from_indices_checks_both_ends():
+    assert GroundSet._from_indices(IntegerInterval(10), range(10)) == GroundSet(
+        IntegerInterval(10), range(1, 11)
+    )
+    assert len(GroundSet._from_indices(CyclicProduct((3, 3)), [])) == 0
+    for ambient, indices in [
+        (IntegerInterval(10), [0, 10]),
+        (IntegerInterval(10, lo=0), [-1, 3]),
+        (CyclicProduct((3, 3)), [2, 9]),
+    ]:
+        with pytest.raises(StructureError, match="out of range"):
+            GroundSet._from_indices(ambient, indices)
+    # inside an ambient wider than the bitset limit, but past it
+    for ambient in (IntegerInterval(2**31), CyclicProduct((2**16, 2**16))):
+        GroundSet._from_indices(ambient, [5, 2**30 - 1])
+        with pytest.raises(BudgetExceededError, match="bitset limit"):
+            GroundSet._from_indices(ambient, [5, 2**30])
 
 
 def test_ground_set_bitmask_matches_indices():

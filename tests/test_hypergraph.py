@@ -403,6 +403,16 @@ def test_complete_rpartite_in_the_empty_graph(r):
     assert contains_complete_rpartite(Hypergraph(4, r, ()), Signature((2,) * r)) is None
 
 
+def test_complete_rpartite_past_the_recursion_limit_is_a_budget_error():
+    # seeding the classes recurses once per class: 900 fit Python's default
+    # limit, 1100 do not and are refused instead of ending in RecursionError
+    graph = Hypergraph.from_edges(1200, 900, [range(900)])
+    assert contains_complete_rpartite(graph, Signature((2,) * 900)) is None
+    graph = Hypergraph.from_edges(1200, 1100, [range(1100)])
+    with pytest.raises(BudgetExceededError, match="1100 summands"):
+        contains_complete_rpartite(graph, Signature((2,) * 1100))
+
+
 def test_complete_rpartite_rank_mismatch():
     _, _, g = z5_graph()
     with pytest.raises(InvalidInputError):
