@@ -33,19 +33,19 @@ first witness found is returned, so detection is deterministic.  For
 integer intervals only positive shifts are needed (the canonical first
 summand has minimum zero); in a product group every nonzero difference
 is a candidate.  A level is skipped before any intersection when A
-repeats too few differences to fit the summand (_decompositions); on the
+repeats too few differences to fit the summand (_valued); on the
 discrete-log sets of construct.zp3_construction the full (2,2,2) scan
 keeps a single level of intersections.
 
 Enumeration yields every canonical decomposition exactly once; distinct
 decompositions may share a value set, so the two are counted apart.  The
-kernel yields once per last level the earlier summands, as shift tuples,
-and the mask whose l_r-subsets, first index the offset, complete them;
-contains_sumset takes the first l_r indices of the first level that
-holds them.  Enumeration, counting and the deletion step of the
-constructions read one budgeted walk, _valued, which pairs each
-l_r-subset with its value set, an index bitmask whose largest value is
-its bit length less one; only witnesses are built as element tuples.
+kernel, _valued, is one budgeted walk: from each last level it yields
+the decompositions its l_r-subsets complete, first index the offset,
+each paired with its value set, an index bitmask whose largest value is
+its bit length less one.  contains_sumset is the first decomposition it
+yields and enumeration every one; counting and the deletion step of the
+constructions read the value sets.  Only witnesses are built as element
+tuples.
 """
 
 from __future__ import annotations
@@ -188,11 +188,19 @@ def _level_plan(lengths: tuple[int, ...], group: bool) -> tuple[tuple[int, int],
     return tuple(reversed(plan))
 
 
-def _decompositions(bits: _Bitsets, mask: int, plan):
-    """Yield (earlier summands, last) for each last level in mask, in order:
-    the earlier summands as shift tuples, one per level of plan, and the
-    mask last whose l_r-subsets, first index the offset, each complete a
-    canonical decomposition.
+def _valued(A: GroundSet, sig: Signature, limit: int | None = None):
+    """The one walk: yield (value set, decomposition) for each canonical
+    decomposition of A, in order, the value set as an index bitmask, the
+    decomposition, (earlier summands, chosen indices), for _witness_maker.
+    Past limit, BudgetExceededError comes before the next value set is
+    built.
+
+    Each level of the plan draws a summand's shifts from the differences of
+    its mask and recurses on the intersection meets keeps; a last level's
+    decompositions are the l_r-subsets of its mask, first index the offset.
+    They share the earlier summands, so the bitmask of the sums of those is
+    formed once per last level, and translated to each chosen index once;
+    a value set is the OR of the translates of its chosen indices.
 
     A level where meets could find no shift set is skipped whole.  With k
     elements in mask, |mask & (mask - d)| is the number of pairs with
@@ -203,10 +211,28 @@ def _decompositions(bits: _Bitsets, mask: int, plan):
     needs count(d) >= needed, so when that sum is below (l - 1)(needed - 1)
     no shift set qualifies.
     """
+    bits = _Bitsets(A.ambient)
+    plan = _level_plan(sig.lengths, bits.digits is not None)
+    count = 0
 
     def levels(mask: int, summands: tuple):
+        nonlocal count
         if len(summands) == len(plan):
-            yield summands, mask
+            sums, translates = 1, {}
+            for L in summands:
+                sums = functools.reduce(operator.or_, [bits.plus(sums, d) for d in L])
+            for chosen in itertools.combinations(_indices(mask), sig.lengths[-1]):
+                count += 1
+                if limit is not None and count > limit:
+                    raise BudgetExceededError(
+                        f"decomposition enumeration exceeded limit of {limit}"
+                    )
+                values = 0
+                for x in chosen:
+                    if x not in translates:
+                        translates[x] = bits.plus(sums, x)
+                    values |= translates[x]
+                yield values, (summands, chosen)
             return
         l, needed = plan[len(summands)]
         shifts = bits.differences(mask)
@@ -218,7 +244,7 @@ def _decompositions(bits: _Bitsets, mask: int, plan):
             yield from levels(inter, summands + ((0,) + combo,))
 
     try:
-        yield from levels(mask, ())
+        yield from levels(A.bitmask, ())
     except RecursionError:
         raise BudgetExceededError(_TOO_DEEP.format(len(plan) + 1)) from None
 
@@ -240,54 +266,15 @@ def _witness_maker(ambient: Ambient):
     return witness
 
 
-def _valued(A: GroundSet, sig: Signature, limit: int | None = None):
-    """The one budgeted walk: yield (value set, decomposition) for each
-    canonical decomposition of A in the kernel's order, the value set as
-    an index bitmask, the decomposition for _witness_maker.  Past limit,
-    BudgetExceededError comes before the next value set is built.
-
-    A last level's decompositions are its l_r-subsets, which share the
-    earlier summands, so the bitmask of the sums of those is formed once
-    per level, and translated to each chosen index once per level; a
-    value set is the OR of the translates of its chosen indices."""
-    bits = _Bitsets(A.ambient)
-    plan = _level_plan(sig.lengths, bits.digits is not None)
-    count = 0
-    for summands, last in _decompositions(bits, A.bitmask, plan):
-        sums, translates = 1, {}
-        for L in summands:
-            sums = functools.reduce(operator.or_, [bits.plus(sums, d) for d in L])
-        for chosen in itertools.combinations(_indices(last), sig.lengths[-1]):
-            count += 1
-            if limit is not None and count > limit:
-                raise BudgetExceededError(
-                    f"decomposition enumeration exceeded limit of {limit}"
-                )
-            values = 0
-            for x in chosen:
-                if x not in translates:
-                    translates[x] = bits.plus(sums, x)
-                values |= translates[x]
-            yield values, (summands, chosen)
-
-
 def contains_sumset(A: GroundSet, sig: Signature) -> Optional[SumsetWitness]:
     """Search A for a sumset with the given signature.
 
-    Returns the first witness in the deterministic shift order, already
-    canonical, or None when A is free of such sumsets.  The empty set and
+    Returns the first witness enumerate_sumsets yields, already canonical,
+    or None when A is free of such sumsets.  The empty set and
     singletons are free for every signature since each summand has at
     least two elements.
     """
-    # levels after the first keep l_r indices; a lone summand's only level,
-    # A itself, may not
-    bits = _Bitsets(A.ambient)
-    plan = _level_plan(sig.lengths, bits.digits is not None)
-    l = sig.lengths[-1]
-    for summands, last in _decompositions(bits, A.bitmask, plan):
-        if last.bit_count() >= l:
-            return _witness_maker(A.ambient)((summands, tuple(_indices(last)[:l])))
-    return None
+    return next(enumerate_sumsets(A, sig), None)
 
 
 def enumerate_sumsets(

@@ -367,15 +367,17 @@ def contains_complete_rpartite(
     edge, or None.
 
     Any such witness has an edge as a transversal, so the search seeds the
-    classes with the vertices of one edge and grows them one vertex at a
-    time; a new vertex is admissible when every transversal through it and
-    the vertices placed so far is an edge, which is read off the completion
-    links of the (r-1)-subsets of edges, built a column of the edge list at
-    a time.  The scan is deterministic (edges in sorted order, candidates
-    ascending) and the first witness found is returned, each class sorted.
-    The search recurses once per class and once per vertex it places, so a
-    signature too long for Python's recursion limit raises
-    BudgetExceededError, as the detection walks do.
+    classes with the vertices of one edge and fills them one class at a
+    time.  A vertex may join a class when every transversal of the other
+    classes completes to an edge through it, which is read off the
+    completion links of the (r-1)-subsets of edges, built a column of the
+    edge list at a time.  That pool depends only on the other classes, so
+    a class takes its missing vertices as one combination of its pool.
+    The scan is deterministic (edges in sorted order, combinations in
+    lexicographic order) and the first witness found is returned, each
+    class sorted.  The search recurses once per class, so a signature too
+    long for Python's recursion limit raises BudgetExceededError, as the
+    detection walks do.
     """
     if sig.r != graph.r:
         raise InvalidInputError(
@@ -403,17 +405,17 @@ def contains_complete_rpartite(
         used = {v for c in classes for v in c}
         return sorted(pool - used)
 
-    def grow(classes):
-        for j in range(r):
-            if len(classes[j]) < lengths[j]:
-                for v in candidates(classes, j):
-                    extended = list(classes)
-                    extended[j] = tuple(sorted(classes[j] + (v,)))
-                    found = grow(extended)
-                    if found is not None:
-                        return found
-                return None
-        return tuple(classes)
+    def grow(classes, j: int):
+        if j == r:
+            return tuple(classes)
+        pool = candidates(classes, j)
+        for extra in itertools.combinations(pool, lengths[j] - len(classes[j])):
+            extended = list(classes)
+            extended[j] = tuple(sorted(classes[j] + extra))
+            found = grow(extended, j + 1)
+            if found is not None:
+                return found
+        return None
 
     def seeds(rest: tuple, placed: tuple = ()):
         # The distinct ways to put an edge's vertices in the classes, one
@@ -430,10 +432,10 @@ def contains_complete_rpartite(
         for k in range(low, len(rest) - (run_end - i) + 1):
             yield from seeds(rest[:k] + rest[k + 1 :], placed + (rest[k],))
 
-    try:  # seeds and grow recurse once per class and once per vertex
+    try:  # seeds and grow recurse once per class
         for edge in graph.edges:
             for perm in seeds(edge):
-                found = grow([(v,) for v in perm])
+                found = grow([(v,) for v in perm], 0)
                 if found is not None:
                     return found
     except RecursionError:

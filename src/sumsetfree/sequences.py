@@ -35,7 +35,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import inf, isfinite, log
+from math import exp, inf, isfinite, log
 
 from .core import (
     GroundSet,
@@ -58,13 +58,14 @@ def liminf_statistic(A: GroundSet, sig: Signature, x) -> float:
     if not 1 < x < inf:
         raise InvalidInputError(f"statistic needs a finite x > 1, got {x!r}")
     pp = sig.prefix_product
+    count = counting_function(A, x)
     try:
         # 1 / pp rounds once: 0.0, not OverflowError, past the float range
-        stat = counting_function(A, x) * (x * log(x)) ** (1 / pp) / x
+        stat = count * (x * log(x)) ** (1 / pp) / x
     except OverflowError:  # an int x too large for a float
         stat = inf
-    if not isfinite(stat):
-        raise InvalidInputError(f"statistic overflows a float at x = {x!r}")
+    if not isfinite(stat):  # x ln x passes the float range: take logarithms
+        stat = count * exp((log(x) + log(log(x))) / pp - log(x)) if count else 0.0
     return stat
 
 

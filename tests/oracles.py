@@ -9,6 +9,7 @@ instances.
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import operator
 from fractions import Fraction
@@ -248,6 +249,15 @@ def greedy_sidon(limit):
         diffs |= new
         terms.append(c)
     return terms
+
+
+def decimal_statistic(count, x, pp):
+    """count (x ln x)^(1/pp) / x in 50-digit decimal arithmetic, rounded to
+    a float; the decimal range holds x ln x far past the float range."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        x = decimal.Decimal(x)
+        return float(count * (x * x.ln()) ** (decimal.Decimal(1) / pp) / x)
 
 
 def _residue_sum(moduli, elems):

@@ -26,6 +26,8 @@ from sumsetfree import (
 from sumsetfree import cli, search
 from sumsetfree.cli import run
 
+from oracles import decimal_statistic
+
 
 def run_cli(capsys, *argv):
     code = run(list(argv))
@@ -1079,16 +1081,17 @@ def test_exit_code_on_vacuous_epsilon(capsys, epsilon):
 
 
 @pytest.mark.parametrize("elems", [[], [1, 2, 4, 8, 13, 21, 31, 45]])
-def test_exit_code_on_overflowing_statistic(tmp_path, capsys, elems):
-    # x ln x overflows at x = 1e308; this printed NaN (zero count) or
-    # Infinity (positive count), neither of them JSON, and exited 0
+def test_sequence_stats_past_the_float_range(tmp_path, capsys, elems):
+    # x ln x passes the float range at x = 1e308; the statistic is then
+    # taken from logarithms, and is 0.0 for a zero count
     s = write_interval_set(tmp_path / "s.txt", 45, elems)
-    code, out, err = run_cli(
+    code, out, _ = run_cli(
         capsys, "sequence", "stats", "--signature", "2,2", "--set", s, "--x", "1e308"
     )
-    assert code == 2
-    assert out == ""
-    assert "overflows" in err
+    assert code == 0
+    [row] = json.loads(out)["statistics"]
+    assert row["count"] == len(elems)
+    assert row["stat"] == pytest.approx(decimal_statistic(len(elems), 1e308, 2), rel=1e-12)
 
 
 def test_statistic_with_prefix_product_past_the_float_range(tmp_path, capsys):

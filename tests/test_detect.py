@@ -345,6 +345,23 @@ def test_digit_masks_match_division_formula(moduli):
             assert high[dj] == ((1 << period) - (1 << dj * stride)) * ones
 
 
+def first_in_walk_order(decomps, ambient):
+    """The least oracle decomposition in the walk's documented order: the
+    earlier summands' shifts, then the chosen points, the offset and its
+    translates by the last summand; both orders follow the indices.  None
+    when there is none."""
+
+    def key(decomposition):
+        x, summands = decomposition
+        return summands[:-1], tuple(elem_add(x, d, ambient) for d in summands[-1])
+
+    return min(decomps, key=key, default=None)
+
+
+def as_decomposition(witness):
+    return None if witness is None else (witness.offset, witness.summands)
+
+
 def test_enumeration_matches_direct_loops_interval():
     rng = random.Random(11)
     for _ in range(40):
@@ -357,6 +374,8 @@ def test_enumeration_matches_direct_loops_interval():
             got = {(w.offset, w.summands) for w in enumerate_sumsets(gs, sig)}
             want = set(interval_decompositions(elems, sig.lengths))
             assert got == want, (elems, sig.lengths)
+            first = first_in_walk_order(want, gs.ambient)
+            assert as_decomposition(contains_sumset(gs, sig)) == first, (elems, sig.lengths)
 
 
 def test_enumeration_matches_direct_loops_cyclic():
@@ -379,6 +398,8 @@ def test_enumeration_matches_direct_loops_cyclic():
             got = set(got)
             want = set(cyclic_decompositions(moduli, elems, sig.lengths))
             assert got == want, (moduli, elems, sig.lengths)
+            first = first_in_walk_order(want, cp)
+            assert as_decomposition(contains_sumset(gs, sig)) == first, (moduli, elems)
 
 
 def test_equal_summand_pair_in_small_group():

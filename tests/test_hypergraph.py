@@ -553,6 +553,7 @@ def z125_graph(seed):
         (3, (2, 2, 3), ((0, 16), (1, 26), (7, 54, 73))),
         (3, (2, 3, 3), ((0, 3), (1, 34, 115), (15, 76, 112))),
         (3, (2, 2, 2), ((0, 11), (1, 40), (7, 118))),
+        (4, (2, 4, 4), ((0, 29), (1, 25, 54, 78), (21, 45, 74, 98))),
     ],
 )
 def test_complete_rpartite_first_witness_is_frozen(seed, lengths, classes):

@@ -18,7 +18,7 @@ from sumsetfree import (
     liminf_statistic,
 )
 
-from oracles import greedy_sidon
+from oracles import decimal_statistic, greedy_sidon
 
 SIG22 = Signature((2, 2))
 SIG23 = Signature((2, 3))
@@ -128,16 +128,15 @@ def test_liminf_statistic():
             liminf_statistic(g, SIG22, x)
 
 
-def test_liminf_statistic_rejects_overflow():
-    # x ln x overflows a float at x = 1e308: inf for a positive count, nan
-    # for a zero one
+def test_liminf_statistic_past_the_float_range():
+    # x ln x passes the float range at x = 1e308 and 10**400; the statistic
+    # is then taken from logarithms, and is 0.0 for a zero count
     g = greedy_sequence(SIG22, 45)
     empty = GroundSet(IntegerInterval(45))
-    for prefix in (g, empty):
-        with pytest.raises(InvalidInputError, match="overflows"):
-            liminf_statistic(prefix, SIG22, 1e308)
-        with pytest.raises(InvalidInputError, match="overflows"):
-            liminf_statistic(prefix, SIG22, 10**400)
+    for x in (1e308, 10**400):
+        assert liminf_statistic(empty, SIG22, x) == 0.0
+        want = decimal_statistic(len(g), x, 2)
+        assert liminf_statistic(g, SIG22, x) == pytest.approx(want, rel=1e-12)
     assert liminf_statistic(g, SIG22, 1e300) == 8 * math.sqrt(1e300 * math.log(1e300)) / 1e300
 
 
