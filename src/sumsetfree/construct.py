@@ -64,6 +64,7 @@ from .core import (
     StructureError,
     _check_bits,
     _mask,
+    _prime_factors,
 )
 from .detect import _valued, contains_sumset
 
@@ -80,7 +81,8 @@ def _digits01_values(n: int) -> list[int]:
     values = [0]
     for p in powers:
         values += [v + p for v in values if v + p <= n - 1]
-    return sorted(values)
+    # ascending already: v + p exceeds every earlier value, each at most (p - 1) / 2
+    return values
 
 
 def _has_progression(values: list[int]) -> bool:
@@ -260,21 +262,6 @@ def deletion_with_retries(
 # algebraic construction in (Z/(p-1))^3
 
 
-def _prime_factors(m: int):
-    """Yield the distinct prime factors of m, ascending, by trial division;
-    none for m < 2.  The first is m itself exactly when m is prime, and
-    it comes as soon as the least factor is found."""
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            yield f
-            while m % f == 0:
-                m //= f
-        f += 1 if f == 2 else 2
-    if m > 1:
-        yield m
-
-
 def primitive_root(p: int) -> int:
     """Smallest primitive root mod an odd prime p."""
     if next(_prime_factors(p), None) != p or p < 3:
@@ -330,13 +317,10 @@ def mixed_radix_embed(A: GroundSet) -> GroundSet:
     for m in moduli[:-1]:
         weights.append(weights[-1] * 2 * m)
     ambient = IntegerInterval(2 ** (len(moduli) - 1) * A.ambient.cardinality - 1, lo=0)
-    strides = [1] * len(moduli)  # an index is the sum of digit * stride
-    for j in range(len(moduli) - 2, -1, -1):
-        strides[j] = strides[j + 1] * moduli[j + 1]
     # index to image, one pass per coordinate; the interval starts at 0,
     # so an image is its own index
     images = [0] * len(A)
-    for s, m, w in zip(strides, moduli, weights):
+    for s, m, w in zip(A.ambient.strides, moduli, weights):
         images = [v + i // s % m * w for v, i in zip(images, A.indices)]
     images.sort()
     return GroundSet._from_indices(ambient, images)

@@ -7,10 +7,17 @@ a finite immutable subset of an ambient, stored as nothing but the sorted
 array of its element indices: its elements, membership test and bitmask
 are derived from that array on each access.  Code that already holds
 sorted indices builds the set from them with no element round trip, and
-an interval set's elements are lo + index.  One codec turns index sets
-into bitmasks and back for every module, _mask and _indices, both linear
-in the mask's bit length.  A SumsetWitness is a decomposition (offset,
-L1, ..., Lr) certifying that a sumset lies inside a ground set.
+an interval set's elements are lo + index.  Everything else runs on
+index bitsets, a Python int with bit i set for the element at index i.
+One codec makes and reads them for every module, _mask and _indices,
+both linear in the bit length; _Bitsets translates them, over an
+interval by one shift and in a product group by one masked shift pair
+per coordinate (_DigitMasks) at CyclicProduct.strides.  Intersection is
+AND, its size int.bit_count(), and the differences of a set the OR of
+its translates by its members.  _check_bits refuses a bitset, or a
+product group for _Bitsets, past 2^30 bits.  A SumsetWitness is a
+decomposition (offset, L1, ..., Lr) certifying that a sumset lies inside
+a ground set.
 Witnesses are kept in canonical form: every summand is translated so its
 basepoint (minimum for intervals, lexicographic minimum for products) is
 zero, the total translation being absorbed into the offset.
@@ -34,6 +41,7 @@ produce zero-based images.  Each header key may appear once.
 from __future__ import annotations
 
 import itertools
+import operator
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -169,6 +177,9 @@ class CyclicProduct:
         for m in self.moduli:
             if not isinstance(m, int) or m < 1:
                 raise InvalidInputError(f"modulus {m!r} not a positive integer")
+        # an index is the sum of digit * stride; not a field, so eq, hash and repr ignore it
+        strides = itertools.accumulate(reversed(self.moduli[1:]), operator.mul, initial=1)
+        object.__setattr__(self, "strides", tuple(strides)[::-1])
 
     @property
     def cardinality(self) -> int:
@@ -190,19 +201,16 @@ class CyclicProduct:
         """
         if not self.contains(x):
             raise StructureError(f"{x!r} not a reduced residue tuple for moduli {self.moduli}")
-        i = 0
-        for c, m in zip(x, self.moduli):
-            i = i * m + c
-        return i
+        return sum(map(operator.mul, x, self.strides))
 
     def element_at(self, i: int) -> tuple[int, ...]:
         if not 0 <= i < self.cardinality:
             raise StructureError(f"index {i} out of range for {self}")
-        out = []
-        for m in reversed(self.moduli):
-            out.append(i % m)
-            i //= m
-        return tuple(reversed(out))
+        digits = []
+        for s in self.strides:
+            d, i = divmod(i, s)
+            digits.append(d)
+        return tuple(digits)
 
     @property
     def zero(self) -> tuple[int, ...]:
@@ -277,6 +285,9 @@ def _check_bits(top: int) -> None:
         )
 
 
+_TOO_DEEP = "a signature of {} summands nests deeper than Python's recursion limit"
+
+
 def _mask(indices) -> int:
     """The bitmask with bit i set for each index i of a collection, in any
     order: one pass over a byte buffer, O(max / 8 + len), after
@@ -303,6 +314,111 @@ def _indices(mask: int) -> list[int]:
             out.append(last - j)
             j = digits.rfind("1", 2, j)
     return out
+
+
+class _DigitMasks(dict):
+    """high[dj]: the indices whose digit at one coordinate is at least dj.
+
+    Every mask has one bit per group element, so a mask is built on first
+    use and then kept, until the masks kept reach _MAX_BITS bits and start
+    afresh; building all of them up front costs a bit per element for
+    every residue of every modulus.  ones, bit 0 of every period, is built
+    on first use too, by doubling: dividing the all-ones mask by
+    2^period - 1 would take CPython's quadratic long division.
+    """
+
+    def __init__(self, stride: int, period: int, size: int):
+        super().__init__()
+        self.stride, self.period, self.size = stride, period, size
+        self.ones = None
+
+    def __missing__(self, dj: int) -> int:
+        if self.ones is None:
+            ones, width = 1, self.period
+            while width < self.size:
+                ones |= ones << width
+                width *= 2
+            self.ones = ones & ((1 << self.size) - 1)
+        if len(self) * self.size >= _MAX_BITS:
+            self.clear()
+        # (2^period - 2^(dj stride)) * ones, as two shifts and a subtraction
+        mask = self[dj] = (self.ones << self.period) - (self.ones << dj * self.stride)
+        return mask
+
+
+class _Bitsets:
+    """Shifts and differences of index bitsets over one ambient.  A shift d
+    is the index of a group element, or any integer offset in an interval."""
+
+    def __init__(self, ambient: Ambient):
+        self.digits = None  # per coordinate, last first: stride, modulus, masks
+        if isinstance(ambient, IntegerInterval):
+            return
+        size = ambient.cardinality
+        _check_bits(size - 1)
+        self.digits = [
+            (stride, m, _DigitMasks(stride, m * stride, size))
+            for stride, m in zip(ambient.strides[::-1], ambient.moduli[::-1])
+        ]
+
+    def minus(self, mask: int, d: int) -> int:
+        """The set {i : i + d in mask}."""
+        if self.digits is None:
+            return mask >> d if d >= 0 else mask << -d
+        for stride, m, high in self.digits:
+            dj = d // stride % m
+            if dj:
+                up = mask & high[dj]
+                mask = (up >> dj * stride) | ((mask ^ up) << (m - dj) * stride)
+        return mask
+
+    def plus(self, mask: int, d: int) -> int:
+        """The set {i + d : i in mask}."""
+        return self.minus(mask, self.diff(d, 0))
+
+    def diff(self, a: int, b: int) -> int:
+        """The shift from index a to index b."""
+        if self.digits is None:
+            return b - a
+        return sum((b // stride - a // stride) % m * stride for stride, m, _ in self.digits)
+
+    def add(self, a: int, b: int) -> int:
+        """The index of the sum of the group elements at indices a and b."""
+        return sum((a // stride + b // stride) % m * stride for stride, m, _ in self.digits)
+
+    def differences(self, mask: int) -> int:
+        """Nonzero differences within mask; only positive ones for intervals."""
+        out = 0
+        for i in _indices(mask):
+            out |= self.minus(mask, i)
+        return out & ~1
+
+    def meets(self, mask: int, shifts: list[int], k: int, needed: int):
+        """Yield (combo, mask & (mask - d) over d in combo) for the k-subsets
+        combo of shifts, in order, whose intersection keeps needed elements."""
+        for combo in itertools.combinations(shifts, k):
+            inter = mask
+            for d in combo:
+                inter &= self.minus(mask, d)
+                if inter.bit_count() < needed:
+                    break
+            else:
+                yield combo, inter
+
+
+def _prime_factors(m: int):
+    """Yield the distinct prime factors of m, ascending, by trial division;
+    none for m < 2.  The first is m itself exactly when m is prime, and
+    it comes as soon as the least factor is found."""
+    f = 2
+    while f * f <= m:
+        if m % f == 0:
+            yield f
+            while m % f == 0:
+                m //= f
+        f += 1 if f == 2 else 2
+    if m > 1:
+        yield m
 
 
 class GroundSet:

@@ -4,17 +4,9 @@ A sumset L1 + ... + Lr with first summand D = {0, d2, ..., d_l1} lies in
 A exactly when L2 + ... + Lr lies in the intersection of the translates
 A - d over d in D.  The detector therefore draws D from the nonzero
 differences of A, intersects, and recurses on the signature tail; for a
-single summand the question is whether |A| >= l1.
-
-Everything runs on bitsets: a set is a Python int with bit i set for the
-element at linearized index i.  core's one codec makes and reads them,
-_mask and _indices, both linear in the bit length.  Translating an
-interval set is one shift; in a product group it is one masked shift
-pair per coordinate (_DigitMasks), and a product of more than 2^30
-elements is refused with BudgetExceededError.  Intersection is AND, its
-size int.bit_count(), and the differences of A are the OR of the
-translates A - a over a in A.  Element tuples appear only in witnesses.
-The sum hypergraph reads its edges off the translates A - s.
+single summand the question is whether |A| >= l1.  The walks run on
+core's index bitsets and their translates (_Bitsets); element tuples
+appear only in witnesses.
 
 Each walk reads a level plan, built per call in one pass from the last
 summand: for each summand but the last, its size l and the least number
@@ -58,18 +50,18 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .core import (
-    _MAX_BITS,
+    _TOO_DEEP,
     Ambient,
     BudgetExceededError,
     Element,
     GroundSet,
     IntegerInterval,
-    InvalidInputError,
     InvalidSignatureError,
     PreconditionError,
     Signature,
     StructureError,
     SumsetWitness,
+    _Bitsets,
     _grid,
     _indices,
     _mask,
@@ -77,102 +69,6 @@ from .core import (
 )
 
 DEFAULT_DECOMPOSITION_BUDGET = 10**7
-_TOO_DEEP = "a signature of {} summands nests deeper than Python's recursion limit"
-
-
-class _DigitMasks(dict):
-    """high[dj]: the indices whose digit at one coordinate is at least dj.
-
-    Every mask has one bit per group element, so a mask is built on first
-    use and then kept, until the masks kept reach _MAX_BITS bits and start
-    afresh; building all of them up front costs a bit per element for
-    every residue of every modulus.  ones, bit 0 of every period, is built
-    on first use too, by doubling: dividing the all-ones mask by
-    2^period - 1 would take CPython's quadratic long division.
-    """
-
-    def __init__(self, stride: int, period: int, size: int):
-        super().__init__()
-        self.stride, self.period, self.size = stride, period, size
-        self.ones = None
-
-    def __missing__(self, dj: int) -> int:
-        if self.ones is None:
-            ones, width = 1, self.period
-            while width < self.size:
-                ones |= ones << width
-                width *= 2
-            self.ones = ones & ((1 << self.size) - 1)
-        if len(self) * self.size >= _MAX_BITS:
-            self.clear()
-        # (2^period - 2^(dj stride)) * ones, as two shifts and a subtraction
-        mask = self[dj] = (self.ones << self.period) - (self.ones << dj * self.stride)
-        return mask
-
-
-class _Bitsets:
-    """Shifts and differences of index bitsets over one ambient.  A shift d
-    is the index of a group element, or any integer offset in an interval."""
-
-    def __init__(self, ambient: Ambient):
-        self.digits = None  # per coordinate, last first: stride, modulus, masks
-        if isinstance(ambient, IntegerInterval):
-            return
-        size = ambient.cardinality
-        if size > _MAX_BITS:
-            raise BudgetExceededError(
-                f"product of {size} elements exceeds the bitset limit of {_MAX_BITS} bits"
-            )
-        self.digits = []
-        stride = 1
-        for m in reversed(ambient.moduli):
-            period = m * stride
-            self.digits.append((stride, m, _DigitMasks(stride, period, size)))
-            stride = period
-
-    def minus(self, mask: int, d: int) -> int:
-        """The set {i : i + d in mask}."""
-        if self.digits is None:
-            return mask >> d if d >= 0 else mask << -d
-        for stride, m, high in self.digits:
-            dj = d // stride % m
-            if dj:
-                up = mask & high[dj]
-                mask = (up >> dj * stride) | ((mask ^ up) << (m - dj) * stride)
-        return mask
-
-    def plus(self, mask: int, d: int) -> int:
-        """The set {i + d : i in mask}."""
-        return self.minus(mask, self.diff(d, 0))
-
-    def diff(self, a: int, b: int) -> int:
-        """The shift from index a to index b."""
-        if self.digits is None:
-            return b - a
-        return sum((b // stride - a // stride) % m * stride for stride, m, _ in self.digits)
-
-    def add(self, a: int, b: int) -> int:
-        """The index of the sum of the group elements at indices a and b."""
-        return sum((a // stride + b // stride) % m * stride for stride, m, _ in self.digits)
-
-    def differences(self, mask: int) -> int:
-        """Nonzero differences within mask; only positive ones for intervals."""
-        out = 0
-        for i in _indices(mask):
-            out |= self.minus(mask, i)
-        return out & ~1
-
-    def meets(self, mask: int, shifts: list[int], k: int, needed: int):
-        """Yield (combo, mask & (mask - d) over d in combo) for the k-subsets
-        combo of shifts, in order, whose intersection keeps needed elements."""
-        for combo in itertools.combinations(shifts, k):
-            inter = mask
-            for d in combo:
-                inter &= self.minus(mask, d)
-                if inter.bit_count() < needed:
-                    break
-            else:
-                yield combo, inter
 
 
 def _level_plan(lengths: tuple[int, ...], group: bool) -> tuple[tuple[int, int], ...]:
@@ -511,11 +407,10 @@ def count_all_sumsets(
     budget before enumeration starts, by bit length first and named as a
     power, so neither the check nor its message grows with the exponent.
     """
-    if not isinstance(n, int) or n < 1:
-        raise InvalidInputError(f"interval endpoint must be a positive integer, got {n!r}")
+    ambient = IntegerInterval(n)  # InvalidInputError unless n is a positive int
     e = sig.total - sig.r + 1
     if e * (n.bit_length() - 1) >= budget.bit_length() or n**e > budget:
         raise BudgetExceededError(f"decomposition space {n}^{e} exceeds budget {budget}")
-    A = GroundSet._from_indices(IntegerInterval(n), range(n))
+    A = GroundSet._from_indices(ambient, range(n))
     value_sets = Counter(values for values, _ in _valued(A, sig))
     return sum(value_sets.values()), len(value_sets)

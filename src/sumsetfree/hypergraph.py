@@ -12,10 +12,9 @@ edges.
 The edges come from the heads of the r-subsets, their r-1 smallest
 indices, in itertools.combinations order: a head of sum s and largest
 index h extends to an edge by every j > h with s + j in A, the set bits
-above h of the detection kernel's bitset A - s.  For 2r > N the same
-walk lists the (N - r)-subsets with sum in total - A, total the sum of
-the group, and takes their complements, so a head never has more than
-N/2 indices.
+above h of the index bitset A - s.  For 2r > N the same walk lists the
+(N - r)-subsets with sum in total - A, total the sum of the group, and
+takes their complements, so a head never has more than N/2 indices.
 
 The counts by sum need no walk.  For a partition L of r with l(L) parts
 of gcd d, y -> sum L_i y_i maps G^l(L) onto dG (aG + bG = gcd(a, b)G)
@@ -64,10 +63,11 @@ from .core import (
     InvalidInputError,
     Signature,
     StructureError,
+    _Bitsets,
+    _TOO_DEEP,
     _indices,
     _mask,
 )
-from .detect import _TOO_DEEP, _Bitsets
 
 DEFAULT_COMBINATION_BUDGET = 5 * 10**6
 
@@ -262,7 +262,8 @@ def representation_counts(
     max_combinations: int = DEFAULT_COMBINATION_BUDGET,
 ) -> dict:
     """Number of r-subsets of distinct group elements summing to each value."""
-    return dict(zip(group.elements(), _translate_scores(group, r, max_combinations)))
+    scores = _translate_scores(group, r, max_combinations)  # refuses a non-product first
+    return dict(zip(group.elements(), scores))
 
 
 def cayley_hypergraph(

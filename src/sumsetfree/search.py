@@ -79,9 +79,9 @@ from .core import (
     Signature,
     _elements_json,
     _indices,
+    _prime_factors,
     elem_add,
 )
-from .construct import _prime_factors
 from .detect import _rooted_check, contains_sumset
 
 DEFAULT_CARDINALITY_BUDGET = 64

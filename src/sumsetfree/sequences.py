@@ -42,6 +42,7 @@ from .core import (
     IntegerInterval,
     InvalidInputError,
     Signature,
+    StructureError,
     _indices,
 )
 from .construct import DEFAULT_OBSTRUCTION_BUDGET, _delete_maxima, behrend_set
@@ -50,6 +51,8 @@ from .detect import _rooted_check
 
 def counting_function(A: GroundSet, x) -> int:
     """Number of elements of the interval set A not exceeding x."""
+    if not isinstance(A.ambient, IntegerInterval):
+        raise StructureError("counting functions expect an interval set")
     return bisect_right(A.indices, x - A.ambient.lo)
 
 

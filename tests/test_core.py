@@ -11,11 +11,15 @@ from sumsetfree import (
     Signature,
     StructureError,
     SumsetWitness,
+    best_translate,
+    counting_function,
     elem_add,
     elem_sub,
+    liminf_statistic,
     normalize_signature,
     parse_set_text,
     read_set_file,
+    representation_counts,
     write_set_file,
 )
 from sumsetfree.core import _indices, _mask
@@ -82,6 +86,28 @@ def test_product_index_is_lexicographic():
         cp.index((1, 4))
     with pytest.raises(InvalidInputError):
         CyclicProduct(())
+    # the strides are derived, not a field: eq, hash and repr see only moduli
+    mixed = CyclicProduct((2, 3, 4))
+    assert mixed.strides == (12, 4, 1)
+    assert [mixed.index(x) for x in mixed.elements()] == list(range(24))
+    assert [mixed.element_at(i) for i in range(24)] == list(mixed.elements())
+    assert repr(mixed) == "CyclicProduct(moduli=(2, 3, 4))"
+    assert mixed == CyclicProduct((2, 3, 4)) and hash(mixed) == hash(((2, 3, 4),))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: representation_counts(IntegerInterval(10), 2),
+        lambda: best_translate(IntegerInterval(10), GroundSet(IntegerInterval(10), [1]), 2),
+        lambda: counting_function(GroundSet(CyclicProduct((3, 3)), [(0, 1)]), 5),
+        lambda: liminf_statistic(GroundSet(CyclicProduct((3, 3)), [(0, 1)]), Signature((2, 2)), 5),
+    ],
+    ids=["representation_counts", "best_translate", "counting_function", "liminf_statistic"],
+)
+def test_wrong_ambient_is_a_structure_error(call):
+    with pytest.raises(StructureError):
+        call()
 
 
 def test_elem_arithmetic():

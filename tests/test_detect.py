@@ -31,8 +31,9 @@ from sumsetfree import (
     zp3_construction,
 )
 
-from sumsetfree import detect
-from sumsetfree.detect import _Bitsets, _level_plan, _rooted_check, _valued
+from sumsetfree import core
+from sumsetfree.core import _Bitsets
+from sumsetfree.detect import _level_plan, _rooted_check, _valued
 
 from oracles import (
     cube3_sum_relations,
@@ -681,10 +682,10 @@ def test_digit_masks_started_afresh_give_the_same_answers(monkeypatch):
 
     expected = answers()
     clears = []
-    clear = detect._DigitMasks.clear
-    monkeypatch.setattr(detect, "_MAX_BITS", 3 * 81)
+    clear = core._DigitMasks.clear
+    monkeypatch.setattr(core, "_MAX_BITS", 3 * 81)
     monkeypatch.setattr(
-        detect._DigitMasks, "clear", lambda self: clears.append(1) or clear(self)
+        core._DigitMasks, "clear", lambda self: clears.append(1) or clear(self)
     )
     assert answers() == expected
     assert len(clears) > 10
