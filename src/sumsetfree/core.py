@@ -44,8 +44,9 @@ import itertools
 import operator
 from array import array
 from bisect import bisect_left
+from contextlib import suppress
 from dataclasses import dataclass
-from math import prod
+from math import exp, inf, log, prod
 from typing import Iterable, Iterator, Union
 
 Element = Union[int, tuple]
@@ -283,6 +284,20 @@ def _check_bits(top: int) -> None:
         raise BudgetExceededError(
             f"element index {top} exceeds the bitset limit of {_MAX_BITS} bits"
         )
+
+
+def _finite(value, log_value, name: str, scale=1) -> float:
+    """value() if finite, else scale * exp(log_value()), else BudgetExceededError."""
+    with suppress(OverflowError):
+        if (result := value()) < inf:  # neither inf nor nan
+            return result
+    ln = log_value()
+    try:
+        return scale * exp(ln)
+    except OverflowError:
+        raise BudgetExceededError(
+            f"{name} is about 10^{ln / log(10):.1f}, past the float range"
+        ) from None
 
 
 _TOO_DEEP = "a signature of {} summands nests deeper than Python's recursion limit"

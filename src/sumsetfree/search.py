@@ -62,10 +62,9 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, exp, factorial, gcd, inf, lcm, lgamma, log, prod
+from math import comb, factorial, gcd, lcm, lgamma, log, prod
 from typing import Optional
 
 from .core import (
@@ -78,6 +77,7 @@ from .core import (
     PreconditionError,
     Signature,
     _elements_json,
+    _finite,
     _indices,
     _prime_factors,
     elem_add,
@@ -261,23 +261,14 @@ def _check_multi(sig: Signature) -> None:
 
 
 def _bound(name: str, c: int, pp: int, n: int, k: int) -> float:
-    """c^(1/pp) / k! * n^(k - 1/pp) as the float expression whose digits the
-    reports keep, 1 / pp rounded once (1.0 / pp below 2^53, 0.0 past the
-    float range).  Where k! or n passes the float range, the value comes
-    from its logarithm, to a relative error near 1e-13; where the value
-    does, BudgetExceededError."""
+    """c^(1/pp) / k! * n^(k - 1/pp) by core._finite, in the digits the
+    reports keep: 1 / pp rounded once, 0.0 past the float range."""
     e = 1 / pp
-    with suppress(OverflowError):
-        value = c**e / factorial(k) * n ** (k - e)
-        if value < inf:
-            return value
-    ln = e * log(c) - lgamma(k + 1) + (k - e) * log(n)
-    try:
-        return exp(ln)
-    except OverflowError:
-        raise BudgetExceededError(
-            f"{name} is about 10^{ln / log(10):.1f}, past the float range"
-        ) from None
+    return _finite(
+        lambda: c**e / factorial(k) * n ** (k - e),
+        lambda: e * log(c) - lgamma(k + 1) + (k - e) * log(n),
+        name,
+    )
 
 
 def upper_bound_leading(n: int, sig: Signature) -> float:
@@ -301,19 +292,10 @@ def turan_upper_bound(n: int, sig: Signature) -> float:
 
 
 def sidon_refined_upper(n: int) -> float:
-    """Refined upper bound sqrt(n) + n^(1/4) + 1/2 for pair sumsets.  Where
-    n passes the float range, each root comes from log(n), as in _bound;
-    where sqrt(n) does, BudgetExceededError."""
+    """Refined upper bound sqrt(n) + n^(1/4) + 1/2 for pair sumsets, by
+    core._finite from log(n) / 2: n^(1/4) + 1/2 is below half an ulp of sqrt(n) there."""
     _check_n(n)
-    with suppress(OverflowError):
-        return n**0.5 + n**0.25 + 0.5
-    ln = log(n)
-    try:
-        return exp(ln / 2) + exp(ln / 4) + 0.5
-    except OverflowError:
-        raise BudgetExceededError(
-            f"sidon_refined is about 10^{ln / 2 / log(10):.1f}, past the float range"
-        ) from None
+    return _finite(lambda: n**0.5 + n**0.25 + 0.5, lambda: log(n) / 2, "sidon_refined")
 
 
 # ---------------------------------------------------------------------------

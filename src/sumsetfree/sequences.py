@@ -33,9 +33,9 @@ liminf of this quantity is the density benchmark for pair-sum signatures.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from math import exp, inf, isfinite, log
+from math import inf, log
 
 from .core import (
     GroundSet,
@@ -43,6 +43,7 @@ from .core import (
     InvalidInputError,
     Signature,
     StructureError,
+    _finite,
     _indices,
 )
 from .construct import DEFAULT_OBSTRUCTION_BUDGET, _delete_maxima, behrend_set
@@ -57,19 +58,18 @@ def counting_function(A: GroundSet, x) -> int:
 
 
 def liminf_statistic(A: GroundSet, sig: Signature, x) -> float:
-    """Normalized count A(x) (x ln x)^(1/P') / x at the finite point x > 1."""
+    """Normalized count A(x) (x ln x)^(1/P') / x at a finite x > 1, by _finite."""
     if not 1 < x < inf:
         raise InvalidInputError(f"statistic needs a finite x > 1, got {x!r}")
     pp = sig.prefix_product
     count = counting_function(A, x)
-    try:
-        # 1 / pp rounds once: 0.0, not OverflowError, past the float range
-        stat = count * (x * log(x)) ** (1 / pp) / x
-    except OverflowError:  # an int x too large for a float
-        stat = inf
-    if not isfinite(stat):  # x ln x passes the float range: take logarithms
-        stat = count * exp((log(x) + log(log(x))) / pp - log(x)) if count else 0.0
-    return stat
+    # 1 / pp rounds once: 0.0, not OverflowError, past the float range, and
+    # past 2^1000 (ln x + ln ln x) / pp is below half an ulp of ln x
+    return _finite(
+        lambda: count * (x * log(x)) ** (1 / pp) / x,
+        lambda: (log(x) + log(log(x))) / min(pp, 2**1000) - log(x),
+        "statistic", scale=count,
+    )
 
 
 def greedy_sequence(sig: Signature, limit: int) -> GroundSet:
@@ -169,12 +169,14 @@ def dyadic_random_sequence(
     # an index of its base, has index start - 1 + j.  The blocks ascend and
     # do not overlap, so the union stays sorted.
     sampled_union: list[int] = []
+    # one base, checked once: block m's is its prefix below 4^m
+    values = behrend_set(4**params.m_max).indices
     for m in range(params.m_min, params.m_max + 1):
         start = 4 ** (m + 2)
         size = 4**m
-        base = behrend_set(size)
+        base = values[: bisect_left(values, size)]
         stream = _block_stream(params.seed, m)
-        kept = [start - 1 + j for j in base.indices if stream.random() < (start + j) ** (-alpha)]
+        kept = [start - 1 + j for j in base if stream.random() < (start + j) ** (-alpha)]
         dense = len(base) >= size ** (1.0 - params.epsilon / 2.0)
         block_data.append((m, start, size, len(base), kept, dense))
         sampled_union.extend(kept)

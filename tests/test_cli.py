@@ -494,6 +494,20 @@ def test_construction_past_bitset_limit_exits_before_building(argv):
     assert "bitset limit" in proc.stderr
 
 
+def test_dyadic_past_the_bitset_limit_exits_before_any_block():
+    # the one base, for 4^16 > 3^19, is refused before any value is
+    # listed; building a base per block would run blocks 1-15 for minutes
+    start = time.perf_counter()
+    proc = run_module(
+        "sequence", "dyadic", "--signature", "2,2", "--epsilon", "0.1",
+        "--m-max", "16", "--seed", "0",
+    )
+    assert time.perf_counter() - start < 20
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert "bitset limit" in proc.stderr
+
+
 def test_l222_near_the_bitset_limit_fits_256_mib():
     # p = 619: 379 456 triples embedded below 10^9.  A ground set holding
     # a bitmask over that span peaked at 608 MB of address space
@@ -699,6 +713,17 @@ def test_sequence_dyadic_report(capsys):
     assert out == again
     _, threaded, _ = run_cli(capsys, *argv, "--threads", "8")
     assert out == threaded
+
+
+def test_sequence_dyadic_stdout_to_m_11_is_frozen(capsys):
+    # eleven blocks, each base a prefix of the largest one's
+    code, out, _ = run_cli(
+        capsys, "sequence", "dyadic", "--signature", "2,2", "--epsilon", "0.1",
+        "--m-max", "11", "--seed", "0",
+    )
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "7e6d50e3e3dd15af0e725187d016f9542eca648b31f25d00e9d3a4ea8be33407"
 
 
 def test_sequence_dyadic_csv_table(capsys):

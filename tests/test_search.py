@@ -435,6 +435,74 @@ def test_sidon_refined_upper_past_the_float_range():
         sidon_refined_upper(10**700)
 
 
+def outcome(f, *args):
+    """repr of the value, or the refusal message."""
+    try:
+        return repr(f(*args))
+    except BudgetExceededError as e:
+        return str(e)
+
+
+# around the float range's top, 2^1024 - 2^971: the first n below rounds
+# down to it, the second rounds up past it
+NS_AT_THE_TOP = [10**307, 2**1024 - 2**970 - 1, 2**1024 - 2**970, 10**400]
+
+
+def turan_refused(*powers):
+    return [f"turan_upper is about 10^{p}, past the float range" for p in powers]
+
+
+@pytest.mark.parametrize(
+    "lengths, leading, turan",
+    [
+        (
+            (2, 2),
+            ["3.1622776601683792e+153", "1.3407807929942596e+154",
+             "1.3407807929942438e+154", "9.999999999999653e+199"],
+            turan_refused("460.2", "462.1", "462.1", "599.7"),
+        ),
+        (
+            (2, 2, 2),
+            ["1.7782794100389227e+230", "1.5525180923007088e+231",
+             "1.5525180923006372e+231", "9.999999999999763e+299"],
+            turan_refused("843.5", "846.9", "846.9", "1099.2"),
+        ),
+        (
+            (2,) * 171,
+            ["1e+307", "1.7976931348623157e+308", "1.7976931348622732e+308",
+             "upper_leading is about 10^400.0, past the float range"],
+            turan_refused("52187.9", "52402.5", "52402.5", "68090.9"),
+        ),
+    ],
+)
+def test_bounds_past_the_float_range_keep_their_digits(lengths, leading, turan):
+    # the digits and messages of the evaluator each bound had of its own;
+    # approx(rel=1e-12) elsewhere would let the last digit drift
+    sig = Signature(lengths)
+    assert [outcome(upper_bound_leading, n, sig) for n in NS_AT_THE_TOP] == leading
+    assert [outcome(turan_upper_bound, n, sig) for n in NS_AT_THE_TOP] == turan
+
+
+def test_turan_bound_with_factorial_past_the_float_range_keeps_its_digits():
+    sig = Signature((2,) * 171)
+    assert [outcome(turan_upper_bound, n, sig) for n in (10, 100)] == [
+        "8.057900396443356e-139", "8.057900396443475e+32",
+    ]
+
+
+def test_sidon_refined_upper_past_the_float_range_keeps_its_digits():
+    # past the float range n^(1/4) + 1/2 is below half an ulp of sqrt(n)
+    assert [outcome(sidon_refined_upper, n) for n in NS_AT_THE_TOP + [10**616]] == [
+        "3.1622776601683792e+153", "1.3407807929942596e+154",
+        "1.3407807929942438e+154", "9.999999999999653e+199",
+        "1.0000000000000136e+308",
+    ]
+    assert [outcome(sidon_refined_upper, n) for n in (10**617, 10**700)] == [
+        "sidon_refined is about 10^308.5, past the float range",
+        "sidon_refined is about 10^350.0, past the float range",
+    ]
+
+
 def test_overlap_check_fractions():
     X = GroundSet(IntegerInterval(8), range(1, 9))
     lhs, rhs = overlap_check([1, 2], [1, 2, 3], X, 2)

@@ -10,6 +10,7 @@ from sumsetfree import (
     IntegerInterval,
     InvalidInputError,
     Signature,
+    behrend_set,
     contains_sumset,
     counting_function,
     dyadic_random_sequence,
@@ -17,6 +18,8 @@ from sumsetfree import (
     introduces_sumset,
     liminf_statistic,
 )
+
+from sumsetfree import construct
 
 from oracles import decimal_statistic, greedy_sidon
 
@@ -140,6 +143,36 @@ def test_liminf_statistic_past_the_float_range():
     assert liminf_statistic(g, SIG22, 1e300) == 8 * math.sqrt(1e300 * math.log(1e300)) / 1e300
 
 
+@pytest.mark.parametrize(
+    "lengths, stats",
+    [
+        ((2, 2), ["4.2428812673504647e-151", "2.1304590433307498e-152",
+                  "2.4278834070163523e-198"]),
+        ((2, 2, 2), ["3.684727948644443e-228", "4.128398278587686e-230",
+                     "4.407160906539613e-299"]),
+    ],
+)
+def test_liminf_statistic_past_the_float_range_keeps_its_digits(lengths, stats):
+    # count * exp(...) from logarithms, digit for digit; approx(rel=1e-12)
+    # above would let the last digit drift
+    sig = Signature(lengths)
+    g = greedy_sequence(SIG22, 45)
+    empty = GroundSet(IntegerInterval(45))
+    xs = (2.5e305, 1e308, 10**400)
+    assert [repr(liminf_statistic(g, sig, x)) for x in xs] == stats
+    assert [liminf_statistic(empty, sig, x) for x in xs] == [0.0, 0.0, 0.0]
+
+
+def test_liminf_statistic_with_x_and_prefix_product_past_the_float_range():
+    # P' = 2^1099 and the int x both pass the float range; (ln x + ln ln x)
+    # / P' is then below half an ulp of ln x, so the statistic is count / x
+    sig = Signature((2,) * 1100)
+    g = greedy_sequence(SIG22, 45)
+    assert liminf_statistic(g, sig, 10**309) == pytest.approx(8e-309, rel=1e-12)
+    assert liminf_statistic(g, sig, 10**400) == 0.0
+    assert liminf_statistic(GroundSet(IntegerInterval(45)), sig, 10**309) == 0.0
+
+
 def test_dyadic_params():
     with pytest.raises(InvalidInputError):
         DyadicParams(epsilon=0.1, m_min=0, m_max=4, seed=0)
@@ -214,3 +247,25 @@ def test_dyadic_experimental_flag():
         sig = Signature(lengths)
         p = DyadicParams(epsilon=0.1, m_min=1, m_max=3, seed=0)
         assert dyadic_random_sequence(sig, p).experimental is flag
+
+
+def test_dyadic_checks_one_base_per_run(monkeypatch):
+    # every block's base is a prefix of the largest block's, so one exact
+    # sweep covers them all
+    swept = []
+    sweep = construct._has_progression
+
+    def counted(values):
+        swept.append(len(values))
+        return sweep(values)
+
+    monkeypatch.setattr(construct, "_has_progression", counted)
+    for m_min, m_max in ((1, 6), (3, 7), (2, 2)):
+        swept.clear()
+        dyadic_random_sequence(SIG22, DyadicParams(0.1, m_min, m_max, 0))
+        assert len(swept) == 1
+
+
+def test_dyadic_block_bases_are_the_behrend_sets_of_their_length():
+    rep = dyadic_random_sequence(SIG22, DyadicParams(0.1, 1, 9, 0))
+    assert [b.base_size for b in rep.blocks] == [len(behrend_set(4**m)) for m in range(1, 10)]
