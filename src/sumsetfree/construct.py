@@ -250,7 +250,7 @@ def deletion_with_retries(
     expected sample, the size the deletion argument guarantees with
     constant probability.  Returns (report, attempts, succeeded); the last
     report is returned even when every attempt fell short."""
-    if max_attempts < 1:
+    if not isinstance(max_attempts, int) or max_attempts < 1:
         raise InvalidInputError("max_attempts must be at least 1")
     for attempt, report in zip(range(max_attempts), _deletions(n, sig, seed, max_obstructions)):
         if len(report.result) >= report.success_threshold:
@@ -264,7 +264,7 @@ def deletion_with_retries(
 
 def primitive_root(p: int) -> int:
     """Smallest primitive root mod an odd prime p."""
-    if next(_prime_factors(p), None) != p or p < 3:
+    if not isinstance(p, int) or next(_prime_factors(p), None) != p or p < 3:
         raise InvalidInputError(f"expected an odd prime, got {p!r}")
     totient_factors = list(_prime_factors(p - 1))
     for g in range(2, p):
@@ -285,7 +285,7 @@ def zp3_construction(p: int) -> GroundSet:
     """
     if isinstance(p, int):
         _check_bits((p - 1) ** 3 - 1)
-    if next(_prime_factors(p), None) != p or p < 5:
+    if not isinstance(p, int) or next(_prime_factors(p), None) != p or p < 5:
         raise InvalidInputError(f"expected a prime >= 5, got {p!r}")
     m = p - 1
     theta = primitive_root(p)

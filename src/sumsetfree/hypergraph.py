@@ -45,7 +45,6 @@ tuple.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import operator
@@ -371,14 +370,14 @@ def contains_complete_rpartite(
     classes with the vertices of one edge and fills them one class at a
     time.  A vertex may join a class when every transversal of the other
     classes completes to an edge through it, which is read off the
-    completion links of the (r-1)-subsets of edges, built a column of the
-    edge list at a time.  That pool depends only on the other classes, so
-    a class takes its missing vertices as one combination of its pool.
-    The scan is deterministic (edges in sorted order, combinations in
+    completion links of the (r-1)-subsets of edges, read off one transpose
+    of the edge list.  That pool depends only on the other classes, so a
+    class takes its missing vertices as one combination of its pool.  The
+    scan is deterministic (edges in sorted order, combinations in
     lexicographic order) and the first witness found is returned, each
-    class sorted.  The search recurses once per class, so a signature too
-    long for Python's recursion limit raises BudgetExceededError, as the
-    detection walks do.
+    class sorted.  Seeding nests once per run of equal sizes, so a
+    signature of more runs than Python's recursion limit allows raises
+    BudgetExceededError, as the detection walks do.
     """
     if sig.r != graph.r:
         raise InvalidInputError(
@@ -386,14 +385,12 @@ def contains_complete_rpartite(
         )
     r = graph.r
     lengths = sig.lengths
-    # the completion link of each (r-1)-subset of an edge, one column at a time
-    def column(j: int):
-        return map(operator.itemgetter(j), graph.edges)
-
+    # the completion link of each (r-1)-subset of an edge, off one transpose
+    columns = list(zip(*graph.edges)) or [()] * r
     completions = defaultdict(set)
     for i in range(r):
-        rests = zip(*map(column, range(i)), *map(column, range(i + 1, r)))
-        for rest, v in zip(rests if r > 1 else itertools.repeat(()), column(i)):
+        rests = zip(*columns[:i], *columns[i + 1 :]) if r > 1 else itertools.repeat(())
+        for rest, v in zip(rests, columns[i]):
             completions[rest].add(v)
 
     def candidates(classes, skip: int) -> list:
@@ -418,22 +415,20 @@ def contains_complete_rpartite(
                 return found
         return None
 
-    def seeds(rest: tuple, placed: tuple = ()):
+    runs = [len(list(run)) for _, run in itertools.groupby(lengths)]
+
+    def seeds(rest: tuple, k: int = 0, placed: tuple = ()):
         # The distinct ways to put an edge's vertices in the classes, one
         # per class, in lexicographic order.  Classes of equal size are
-        # interchangeable, so vertices rise along a run of equal sizes and
-        # each seed is the first permutation of the edge that places it; a
-        # vertex is placed only if enough larger ones remain for its run.
-        i = len(placed)
-        if i == r:
+        # interchangeable, so run k of them takes one rising combination.
+        if k == len(runs):
             yield placed
             return
-        run_end = bisect.bisect_right(lengths, lengths[i])
-        low = bisect.bisect(rest, placed[-1]) if i and lengths[i - 1] == lengths[i] else 0
-        for k in range(low, len(rest) - (run_end - i) + 1):
-            yield from seeds(rest[:k] + rest[k + 1 :], placed + (rest[k],))
+        for block in itertools.combinations(rest, runs[k]):
+            left = tuple(v for v in rest if v not in block)
+            yield from seeds(left, k + 1, placed + block)
 
-    try:  # seeds and grow recurse once per class
+    try:  # seeds nest once per run; grow reaches class j only with 2^j edges
         for edge in graph.edges:
             for perm in seeds(edge):
                 found = grow([(v,) for v in perm], 0)

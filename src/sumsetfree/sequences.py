@@ -18,6 +18,8 @@ the deletion step of random_deletion, so sumsets spanning several blocks
 are found too: the maximum of each distinct value set of a forbidden
 sumset is deleted and the rest re-checked free.  A block's obstruction
 count is the number of distinct value sets whose maximum lies in it.
+Both it and the block's retained count are read off the sorted deletion
+result, the maxima and the free prefix, by bisecting at the block's ends.
 Per-block sample, obstruction, and retention counts are reported
 rather than thresholded; at small block counts the sample is sparse and
 often empty, and the counts are the observable trend.  Each block draws
@@ -43,6 +45,7 @@ from .core import (
     InvalidInputError,
     Signature,
     StructureError,
+    _check_bits,
     _finite,
     _indices,
 )
@@ -164,39 +167,38 @@ def dyadic_random_sequence(
     same report, and the returned prefix is verified free.
     """
     alpha = (sig.total - sig.r) / (sig.product - 1) + params.epsilon / 2.0
-    block_data = []
+    top = params.m_max
+    ambient = IntegerInterval(4 ** (top + 2) + 4**top)
+    _check_bits(ambient.n - 1)  # past 2^30 from m_max = 13, refused before any base
     # indices in the interval from 1: the block's value start + j, for j
     # an index of its base, has index start - 1 + j.  The blocks ascend and
     # do not overlap, so the union stays sorted.
     sampled_union: list[int] = []
+    drawn = []  # (m, start, size, base size, kept count, dense) per block
     # one base, checked once: block m's is its prefix below 4^m
-    values = behrend_set(4**params.m_max).indices
-    for m in range(params.m_min, params.m_max + 1):
+    values = behrend_set(4**top).indices
+    for m in range(params.m_min, top + 1):
         start = 4 ** (m + 2)
         size = 4**m
         base = values[: bisect_left(values, size)]
         stream = _block_stream(params.seed, m)
         kept = [start - 1 + j for j in base if stream.random() < (start + j) ** (-alpha)]
         dense = len(base) >= size ** (1.0 - params.epsilon / 2.0)
-        block_data.append((m, start, size, len(base), kept, dense))
-        sampled_union.extend(kept)
+        drawn.append((m, start, size, len(base), len(kept), dense))
+        sampled_union += kept
 
-    top = params.m_max
-    ambient = IntegerInterval(4 ** (top + 2) + 4**top)
     sampled = GroundSet._from_indices(ambient, sampled_union)
     maxima, free = _delete_maxima(sampled, sig, max_obstructions)
-    gone = set(maxima)
+    maxima.sort()
 
-    blocks = []
-    for m, start, size, base_size, kept, dense in block_data:
-        # index i holds the value i + 1
-        obstruction_count = sum(1 for i in maxima if start <= i + 1 < start + size)
-        retained = len(kept) - sum(1 for i in gone if start <= i + 1 < start + size)
-        blocks.append(
-            BlockOutcome(
-                m, start, size, base_size, len(kept), obstruction_count,
-                retained, dense,
-            )
+    def within(indices, start, size):  # index i holds the value i + 1
+        return bisect_left(indices, start - 1 + size) - bisect_left(indices, start - 1)
+
+    blocks = tuple(
+        BlockOutcome(
+            m, start, size, base_size, kept, within(maxima, start, size),
+            within(free.indices, start, size), dense,
         )
-
-    return DyadicReport(free, tuple(blocks), not _is_supported_signature(sig), alpha)
+        for m, start, size, base_size, kept, dense in drawn
+    )
+    return DyadicReport(free, blocks, not _is_supported_signature(sig), alpha)

@@ -113,11 +113,16 @@ def test_detect_hilbert_past_the_recursion_limit_exits_3(tmp_path):
 
 
 def test_hypergraph_check_past_the_recursion_limit_exits_3(tmp_path):
-    # one edge of 1100 vertices: seeding 1100 classes of two recursed past
-    # Python's limit and exited 1 with a traceback
+    # one edge of 1100 vertices: 1100 classes of two are one run of equal
+    # sizes and seed in one step, while 1100 distinct sizes nest past
+    # Python's limit and are refused, not ended by a traceback
     graph = tmp_path / "edge.graph"
     graph.write_text("#hypergraph n=1200 r=1100\n" + " ".join(map(str, range(1100))) + "\n")
     done = run_module("hypergraph", "check", "--graph", str(graph), "--signature", twos(1100))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["free"] is True
+    sizes = ",".join(map(str, range(2, 1102)))
+    done = run_module("hypergraph", "check", "--graph", str(graph), "--signature", sizes)
     assert (done.returncode, done.stdout) == (3, "")
     assert "1100 summands" in done.stderr and "Traceback" not in done.stderr
 
@@ -501,6 +506,20 @@ def test_dyadic_past_the_bitset_limit_exits_before_any_block():
     proc = run_module(
         "sequence", "dyadic", "--signature", "2,2", "--epsilon", "0.1",
         "--m-max", "16", "--seed", "0",
+    )
+    assert time.perf_counter() - start < 20
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert "bitset limit" in proc.stderr
+
+
+def test_dyadic_from_block_13_exits_before_building_its_base():
+    # the run's interval ends at 4^15 + 4^13, past 2^30; its base,
+    # behrend_set(4^13), took minutes to build and check before a refusal
+    start = time.perf_counter()
+    proc = run_module(
+        "sequence", "dyadic", "--signature", "2,2", "--epsilon", "0.1",
+        "--m-max", "13", "--seed", "0",
     )
     assert time.perf_counter() - start < 20
     assert proc.returncode == 3, proc.stderr

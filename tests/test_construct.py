@@ -185,8 +185,9 @@ def test_deletion_validates_input():
 
 
 def test_deletion_retries_need_an_attempt():
-    with pytest.raises(InvalidInputError, match="max_attempts must be at least 1"):
-        deletion_with_retries(10**4, SIG222, 0, max_attempts=0)
+    for bad in (0, 1.5):
+        with pytest.raises(InvalidInputError, match="max_attempts must be at least 1"):
+            deletion_with_retries(10**4, SIG222, 0, max_attempts=bad)
 
 
 class _KeepAll(random.Random):
@@ -218,19 +219,31 @@ def test_deletion_with_every_element_kept_matches_oracle(monkeypatch, lengths):
     assert rep.result.elements == tuple(x for x in sampled if x not in maxima)
 
 
-# Blocks m = 1..2 cover [64, 68) and [256, 272); sumsets span both blocks.
-# Started at m = 2, the second block alone has fewer obstructions.
+# Blocks m = 1..3 cover [64, 68), [256, 272) and [1024, 1088); sumsets
+# span several blocks.  Started at m = 2, the second block alone has fewer
+# obstructions.  A run ends at the block of the last count, m_max; with
+# m_max = 3 two blocks hold obstructions, so each block's counts are
+# bounded at both of its ends.
 @pytest.mark.parametrize(
     "lengths, m_min, counts",
-    [((2, 2), 1, [0, 22]), ((2, 3), 2, [12]), ((2, 3), 1, [0, 27])],
+    [
+        ((2, 2), 1, [0, 22]),
+        ((2, 3), 2, [12]),
+        ((2, 3), 1, [0, 27]),
+        ((2, 2), 1, [0, 22, 272]),
+        ((2, 2), 2, [12, 252]),
+        ((2, 3), 2, [12, 1012]),
+        ((2, 2, 2), 1, [0, 1, 56]),
+    ],
 )
 def test_dyadic_with_every_element_kept_matches_oracle(monkeypatch, lengths, m_min, counts):
     monkeypatch.setattr(sequences, "_block_stream", lambda seed, m: _KeepAll())
+    m_max = m_min + len(counts) - 1
     sig = Signature(lengths)
-    rep = dyadic_random_sequence(sig, DyadicParams(0.1, m_min, 2, 0))
+    rep = dyadic_random_sequence(sig, DyadicParams(0.1, m_min, m_max, 0))
     blocks = [
         [4 ** (m + 2) - 1 + b for b in behrend_set(4**m).elements]
-        for m in range(m_min, 3)
+        for m in range(m_min, m_max + 1)
     ]
     maxima = _oracle_maxima([v for block in blocks for v in block], lengths)
     assert rep.prefix.elements == tuple(v for block in blocks for v in block if v not in maxima)
@@ -246,7 +259,7 @@ def test_primitive_roots():
     assert primitive_root(7) == 3
     assert primitive_root(11) == 2
     assert primitive_root(13) == 2
-    for bad in (1, 4, 6, 15):
+    for bad in (1, 4, 6, 15, 7.0):
         with pytest.raises(InvalidInputError):
             primitive_root(bad)
 
@@ -280,7 +293,7 @@ def test_log_surface_from_indices_matches_tuple_oracle():
 
 
 def test_log_surface_rejects_non_primes():
-    for bad in (2, 3, 4, 6):
+    for bad in (2, 3, 4, 6, 5.0):
         with pytest.raises(InvalidInputError):
             zp3_construction(bad)
 

@@ -404,13 +404,14 @@ def test_complete_rpartite_in_the_empty_graph(r):
 
 
 def test_complete_rpartite_past_the_recursion_limit_is_a_budget_error():
-    # seeding the classes recurses once per class: 900 fit Python's default
-    # limit, 1100 do not and are refused instead of ending in RecursionError
-    graph = Hypergraph.from_edges(1200, 900, [range(900)])
-    assert contains_complete_rpartite(graph, Signature((2,) * 900)) is None
-    graph = Hypergraph.from_edges(1200, 1100, [range(1100)])
+    # seeding nests once per run of equal sizes: 1100 twos are one run and
+    # answer, 1100 distinct sizes nest past Python's default limit and are
+    # refused instead of ending in RecursionError
+    for r in (900, 1100):
+        graph = Hypergraph.from_edges(1200, r, [range(r)])
+        assert contains_complete_rpartite(graph, Signature((2,) * r)) is None
     with pytest.raises(BudgetExceededError, match="1100 summands"):
-        contains_complete_rpartite(graph, Signature((2,) * 1100))
+        contains_complete_rpartite(graph, Signature(tuple(range(2, 1102))))
 
 
 def test_complete_rpartite_rank_mismatch():
@@ -554,10 +555,34 @@ def z125_graph(seed):
         (3, (2, 3, 3), ((0, 3), (1, 34, 115), (15, 76, 112))),
         (3, (2, 2, 2), ((0, 11), (1, 40), (7, 118))),
         (4, (2, 4, 4), ((0, 29), (1, 25, 54, 78), (21, 45, 74, 98))),
+        (5, (2, 3, 3), ((0, 8), (1, 9, 12), (2, 5, 13))),
+        (6, (2, 3, 3), ((0, 12), (1, 30, 48), (3, 107, 120))),
     ],
 )
 def test_complete_rpartite_first_witness_is_frozen(seed, lengths, classes):
     # each seed is tried once per assignment of vertices to class sizes,
     # in the order the edge's permutations first reach it
     assert contains_complete_rpartite(z125_graph(seed), Signature(lengths)) == classes
+
+
+@functools.cache
+def z27_graph(seed):
+    group = CyclicProduct((3, 3, 3))
+    rng = random.Random(seed)
+    A = GroundSet(group, rng.sample(list(group.elements()), rng.randrange(6, 12)))
+    return cayley_hypergraph(group, A, 4)
+
+
+@pytest.mark.parametrize(
+    "seed, lengths, classes",
+    [
+        (1, (2, 3, 3, 3), ((0, 12), (1, 13, 25), (2, 14, 26), (3, 15, 18))),
+        (3, (2, 2, 3, 3), ((0, 13), (1, 14), (2, 12, 25), (4, 17, 18))),
+        (5, (2, 2, 3, 3), ((0, 5), (1, 16), (2, 17, 23), (8, 14, 20))),
+        (5, (2, 2, 2, 3), ((0, 5), (1, 16), (2, 17), (8, 14, 20))),
+    ],
+)
+def test_complete_rpartite_first_witness_is_frozen_at_rank_four(seed, lengths, classes):
+    # runs of equal sizes after a shorter one, each seeded as one combination
+    assert contains_complete_rpartite(z27_graph(seed), Signature(lengths)) == classes
 
