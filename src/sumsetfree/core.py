@@ -278,12 +278,20 @@ def _element_json(x: Element):
 _MAX_BITS = 2**30
 
 
+def _too_wide(index: str) -> BudgetExceededError:
+    """The refusal of an index, named by the text given, past the limit."""
+    return BudgetExceededError(f"element index {index} exceeds the bitset limit of {_MAX_BITS} bits")
+
+
 def _check_bits(top: int) -> None:
-    """Raise BudgetExceededError unless a bitset can hold index top."""
+    """Raise BudgetExceededError unless a bitset can hold index top.  An
+    index past Python's int-to-str limit is named by its bit length."""
     if top >= _MAX_BITS:
-        raise BudgetExceededError(
-            f"element index {top} exceeds the bitset limit of {_MAX_BITS} bits"
-        )
+        try:
+            name = str(top)
+        except ValueError:
+            name = f"of {top.bit_length()} bits"
+        raise _too_wide(name)
 
 
 def _finite(value, log_value, name: str, scale=1) -> float:

@@ -50,6 +50,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .core import (
+    _MAX_BITS,
     _TOO_DEEP,
     Ambient,
     BudgetExceededError,
@@ -275,9 +276,22 @@ def is_sidon(A: GroundSet) -> bool:
 
 
 def is_hilbert_cube_free(A: GroundSet, r: int) -> bool:
-    """Free of r-dimensional cubes x + {0, d1} + ... + {0, dr}?"""
+    """Free of r-dimensional cubes x + {0, d1} + ... + {0, dr}?
+
+    The signature, r twos, is built only for a walk that may need it.  On
+    an interval a cube takes at least the r + 1 values x, x + d1, ...,
+    x + d1 + ... + dr, so a set of at most r elements is free, as the walk
+    would answer.  In a product group a dimension of 2^30 or more, whose
+    signature alone would take gigabytes, raises BudgetExceededError as a
+    walk past the recursion limit does.
+    """
     if not isinstance(r, int) or r < 2:
         raise InvalidSignatureError(f"cube dimension must be an integer >= 2, got {r!r}")
+    if isinstance(A.ambient, IntegerInterval):
+        if len(A) <= r:
+            return True
+    elif r >= _MAX_BITS:
+        raise BudgetExceededError(_TOO_DEEP.format(r))
     return contains_sumset(A, Signature((2,) * r)) is None
 
 
@@ -412,5 +426,5 @@ def count_all_sumsets(
     if e * (n.bit_length() - 1) >= budget.bit_length() or n**e > budget:
         raise BudgetExceededError(f"decomposition space {n}^{e} exceeds budget {budget}")
     A = GroundSet._from_indices(ambient, range(n))
-    value_sets = Counter(values for values, _ in _valued(A, sig))
+    value_sets = Counter(map(operator.itemgetter(0), _valued(A, sig)))
     return sum(value_sets.values()), len(value_sets)

@@ -48,6 +48,7 @@ from .core import (
     _check_bits,
     _finite,
     _indices,
+    _too_wide,
 )
 from .construct import DEFAULT_OBSTRUCTION_BUDGET, _delete_maxima, behrend_set
 from .detect import _rooted_check
@@ -79,6 +80,7 @@ def greedy_sequence(sig: Signature, limit: int) -> GroundSet:
     """Terms up to limit of the greedy sequence avoiding the signature."""
     if not isinstance(limit, int) or limit < 1:
         raise InvalidInputError(f"limit must be a positive integer, got {limit!r}")
+    _check_bits(limit - 1)  # before the walk, which would run limit steps first
     ambient = IntegerInterval(limit)
     check = _rooted_check(ambient, sig.lengths)
     mask = 0
@@ -168,8 +170,13 @@ def dyadic_random_sequence(
     """
     alpha = (sig.total - sig.r) / (sig.product - 1) + params.epsilon / 2.0
     top = params.m_max
+    # the last index, 4^(top+2) + 4^top - 1, is past 2^30 from m_max = 13
+    # and refused before any base; from m_max = 2^16 on it is refused by
+    # its 2 top + 5 bits, before a power of up to gigabytes is built
+    if top >= 2**16:
+        raise _too_wide(f"of {2 * top + 5} bits")
     ambient = IntegerInterval(4 ** (top + 2) + 4**top)
-    _check_bits(ambient.n - 1)  # past 2^30 from m_max = 13, refused before any base
+    _check_bits(ambient.n - 1)
     # indices in the interval from 1: the block's value start + j, for j
     # an index of its base, has index start - 1 + j.  The blocks ascend and
     # do not overlap, so the union stays sorted.

@@ -129,13 +129,36 @@ def test_hypergraph_check_past_the_recursion_limit_exits_3(tmp_path):
 
 def test_detect_hilbert_of_huge_dimension_answers_at_once(tmp_path, capsys):
     # the level plan is one pass over the signature; built from its tail
-    # slices it took quadratic time, about 46 s at dimension 100 000
+    # slices it took quadratic time, about 46 s at dimension 100 000.  The
+    # interval set has too few elements for a cube and answers before any
+    # plan; the group set, with no repeated difference, builds the plan and
+    # is cut at the walk's first level
     s = write_interval_set(tmp_path / "s.txt", 10, [1, 2, 4])
-    start = time.perf_counter()
-    code, out, _ = run_cli(capsys, "detect", "--set", s, "--hilbert", "100000")
-    assert time.perf_counter() - start < 2.0
-    assert code == 0
-    assert json.loads(out) == {"dimension": 100000, "free": True}
+    g = write_group_set(tmp_path / "g.txt", (5, 5), [(0, 1), (1, 2)])
+    for path in (s, g):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "detect", "--set", path, "--hilbert", "100000")
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        assert json.loads(out) == {"dimension": 100000, "free": True}
+
+
+@pytest.mark.parametrize("r", [2**30, 2**31, 10**19])
+def test_detect_hilbert_past_the_bitset_limit_builds_no_signature(tmp_path, r):
+    # r twos ended in a MemoryError at 2^31 and an OverflowError at 10^19,
+    # each a traceback.  An interval set has at most 2^30 <= r elements,
+    # too few for the r + 1 values of a cube; a product group is refused.
+    # In a child under a memory cap, since r twos take gigabytes
+    s = write_interval_set(tmp_path / "s.txt", 10, [1, 2, 4])
+    done = run_module("detect", "--set", s, "--hilbert", str(r), cap_mb=256)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"dimension": r, "free": True}
+    g = write_group_set(tmp_path / "g.txt", (5, 5), [(0, 1), (1, 2)])
+    done = run_module("detect", "--set", g, "--hilbert", str(r), cap_mb=256)
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == (
+        f"error: a signature of {r} summands nests deeper than Python's recursion limit\n"
+    )
 
 
 def test_search_json_and_csv(capsys):
@@ -197,6 +220,40 @@ def test_enumerate_set_witness_listing(tmp_path, capsys):
         capsys, "enumerate", "--set", s, "--signature", "2,2", "--count-only"
     )
     assert "witnesses" not in json.loads(out)
+
+
+@st.composite
+def _small_sets(draw):
+    """A small interval or product-group set and a signature of up to
+    three summands."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 14))
+        ambient = IntegerInterval(n)
+        elems = draw(st.lists(st.integers(1, n), max_size=n))
+    else:
+        moduli = tuple(draw(st.lists(st.integers(2, 5), min_size=1, max_size=3)))
+        ambient = CyclicProduct(moduli)
+        row = st.tuples(*(st.integers(0, m - 1) for m in moduli))
+        elems = draw(st.lists(row, max_size=14))
+    lengths = draw(st.lists(st.integers(2, 3), min_size=1, max_size=3))
+    return GroundSet(ambient, elems), ",".join(map(str, sorted(lengths)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_sets())
+def test_enumerate_count_only_agrees_with_the_listing(tmp_path_factory, case):
+    gs, sig = case
+    path = tmp_path_factory.mktemp("enum") / "set.txt"
+    write_set_file(gs, path)
+    reports = []
+    for extra in ([], ["--count-only"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert run(["enumerate", "--set", str(path), "--signature", sig, *extra]) == 0
+        reports.append(json.loads(out.getvalue()))
+    listing, counted = reports
+    assert len(listing.pop("witnesses")) == listing["decompositions"]
+    assert counted == listing
 
 
 def test_bounds_closed_forms(capsys):
@@ -589,6 +646,49 @@ def test_zp3_past_bitset_limit_exits_before_primality_test(capsys, p):
     assert err == f"error: element index {(p - 1) ** 3 - 1} exceeds the bitset limit of 1073741824 bits\n"
 
 
+@pytest.mark.parametrize("limit", [2**31, 10**19])
+def test_greedy_past_the_bitset_limit_exits_before_the_walk(capsys, limit):
+    # the limit was checked only when the prefix was built, after a walk
+    # of limit steps that ran past a 10 s cap
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "sequence", "greedy", "--signature", "2,2", "--limit", str(limit)
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == f"error: element index {limit - 1} exceeds the bitset limit of 1073741824 bits\n"
+
+
+@pytest.mark.parametrize(
+    "argv, bits",
+    [
+        (["construct", "zp3", "--p", str(10**1500 + 1)], 14949),
+        (["sequence", "dyadic", "--signature", "2,2", "--epsilon", "0.1",
+          "--m-max", "10000", "--seed", "0"], 20005),
+    ],
+)
+def test_refusal_past_the_int_to_str_limit_names_the_index_by_bits(capsys, argv, bits):
+    # the index has more than 4300 digits, so naming it in decimal ended
+    # in CPython's int-to-str ValueError, a traceback
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == f"error: element index of {bits} bits exceeds the bitset limit of 1073741824 bits\n"
+
+
+def test_dyadic_with_a_huge_m_max_builds_no_power():
+    # 4^(10^9 + 2) alone is a 250 MB int
+    done = run_module(
+        "sequence", "dyadic", "--signature", "2,2", "--epsilon", "0.1",
+        "--m-max", "1000000000", "--seed", "0", cap_mb=256,
+    )
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == (
+        "error: element index of 2000000005 bits exceeds the bitset limit of 1073741824 bits\n"
+    )
+
+
 def test_zp3_composite_below_bitset_limit_exits_on_input(capsys):
     code, out, err = run_cli(capsys, "construct", "zp3", "--p", "1001")
     assert (code, out) == (2, "")
@@ -917,6 +1017,67 @@ def test_module_entry_point_runs():
     payload = json.loads(proc.stdout)
     assert payload["F"] == 3
     assert payload["signature"] == [2, 2]
+
+
+def test_cached_parser_reports_match_a_fresh_parser(tmp_path, capsys, monkeypatch):
+    # one process runs every shape below twice, through the cached parser
+    # and through a parser built afresh for each run; each report, saved
+    # files included, must be the same but for a search's timing, and no
+    # value may outlive its run
+    assert cli.build_parser() is cli.build_parser()
+    mc = write_interval_set(tmp_path / "mc.txt", 45, [1, 2, 4, 8, 13, 21, 31, 45])
+    g = write_group_set(tmp_path / "g.txt", (5, 5), [(0, 0), (0, 1), (1, 3), (2, 2), (3, 4), (4, 1)])
+    zp3, graph, rnd = (str(tmp_path / name) for name in ("zp3.txt", "g.graph", "rnd.txt"))
+    stats = ["sequence", "stats", "--signature", "2,2", "--set", mc]
+    greedy = ["sequence", "greedy", "--signature", "2,2,2", "--limit", "60"]
+    steps = [
+        (["search", "--n"], ()),
+        (["--help"], ()),
+        ([*stats, "--x", "1", "--x", "2"], ()),
+        ([*stats, "--x", "45", "--x", "21"], ()),
+        (stats, ()),
+        ([*stats, "--x", "21"], ()),
+        ([*greedy, "--format", "csv"], ()),
+        (greedy, ()),
+        (["search", "--n", "12", "--signature", "2,2"], ()),
+        (["search", "--n", "10", "--signature", "2,2,2"], ()),
+        (["construct", "zp3", "--p", "7", "--save-set", zp3], (zp3,)),
+        (["detect", "--set", zp3, "--signature", "2,2,2"], ()),
+        (["detect", "--set", g, "--signature", "2,2"], ()),
+        (["enumerate", "--set", zp3, "--signature", "2,3", "--count-only"], ()),
+        (["enumerate", "--set", g, "--signature", "2,2"], ()),
+        (["search", "--moduli", "3,3", "--signature", "2,2"], ()),
+        (["hypergraph", "build", "--set", g, "--r", "3", "--save-graph", graph], (graph,)),
+        (["hypergraph", "check", "--graph", graph, "--signature", "2,2,2"], ()),
+        (["construct", "random", "--n", "2000", "--signature", "2,2,2", "--seed", "0",
+          "--retries", "2", "--save-set", rnd], (rnd,)),
+        (["construct", "random", "--n", "2000", "--signature", "2,2,2", "--seed", "0"], ()),
+        (["construct", "l222", "--n", "100000"], ()),
+        (["sequence", "dyadic", "--signature", "2,2", "--epsilon", "0.1", "--m-max", "4",
+          "--seed", "0"], ()),
+    ]
+
+    def reports():
+        out = []
+        for argv, saved in steps:
+            code, stdout, stderr = run_cli(capsys, *argv)
+            stdout = re.sub(r'"ms": [0-9.e-]+', '"ms": _', stdout)
+            out.append((code, stdout, stderr, [Path(f).read_bytes() for f in saved]))
+        return out
+
+    cached = reports()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert reports() == cached
+    codes = [code for code, *_ in cached]
+    assert codes[:3] == [2, 0, 2] and codes[4] == 2 and codes.count(0) == len(steps) - 3
+    assert "usage: sumsetfree" in cached[1][1]
+    assert [row["x"] for row in json.loads(cached[3][1])["statistics"]] == [45.0, 21.0]
+    assert cached[4][2] == "error: sequence stats need at least one --x\n"
+    assert [row["x"] for row in json.loads(cached[5][1])["statistics"]] == [21.0]
+    assert cached[6][1].startswith("signature,limit,size\n")
+    assert json.loads(cached[7][1])["limit"] == 60
+    assert "attempts" in json.loads(cached[18][1])
+    assert "attempts" not in json.loads(cached[19][1])
 
 
 def test_exit_code_on_missing_seed(capsys):

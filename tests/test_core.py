@@ -22,7 +22,7 @@ from sumsetfree import (
     representation_counts,
     write_set_file,
 )
-from sumsetfree.core import _indices, _mask
+from sumsetfree.core import _check_bits, _indices, _mask
 
 
 def test_normalize_sorts_and_validates():
@@ -243,6 +243,20 @@ def test_mask_and_indices_edge_cases():
         assert _indices(_mask(xs)) == xs
     with pytest.raises(BudgetExceededError, match="bitset limit"):
         _mask([3, 2**30])
+
+
+def test_bitset_refusal_names_an_index_past_the_int_to_str_limit_by_bits():
+    limit = "exceeds the bitset limit of 1073741824 bits"
+    _check_bits(2**30 - 1)
+    for top, name in [
+        (2**30, "1073741824"),
+        (10**4299, "1" + "0" * 4299),  # 4300 digits, the most str() prints
+        (10**4300, "of 14285 bits"),
+        (2**(2 * 10**6), "of 2000001 bits"),
+    ]:
+        with pytest.raises(BudgetExceededError) as err:
+            _check_bits(top)
+        assert str(err.value) == f"element index {name} {limit}"
 
 
 def test_set_file_round_trip(tmp_path):

@@ -487,6 +487,14 @@ def test_hilbert_cube_freeness():
         is_hilbert_cube_free(interval_set([1, 2]), 1)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 14), max_size=10), st.integers(2, 12))
+def test_hilbert_cube_freeness_is_the_walk_answer(elems, r):
+    # the shortcut for |A| <= r on an interval answers what the walk does
+    A = interval_set(elems, 14)
+    assert is_hilbert_cube_free(A, r) == (contains_sumset(A, Signature((2,) * r)) is None)
+
+
 def test_cube3_sum_system_agrees_with_detector():
     rng = random.Random(29)
     for _ in range(40):
