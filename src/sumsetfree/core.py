@@ -396,8 +396,16 @@ class _Bitsets:
         return mask
 
     def plus(self, mask: int, d: int) -> int:
-        """The set {i + d : i in mask}."""
-        return self.minus(mask, self.diff(d, 0))
+        """The set {i + d : i in mask}: in a group, minus's rotation by the
+        negated digits of d."""
+        if self.digits is None:
+            return self.minus(mask, -d)
+        for stride, m, high in self.digits:
+            dj = -(d // stride) % m
+            if dj:
+                up = mask & high[dj]
+                mask = (up >> dj * stride) | ((mask ^ up) << (m - dj) * stride)
+        return mask
 
     def diff(self, a: int, b: int) -> int:
         """The shift from index a to index b."""
@@ -416,10 +424,10 @@ class _Bitsets:
             out |= self.minus(mask, i)
         return out & ~1
 
-    def meets(self, mask: int, shifts: list[int], k: int, needed: int):
-        """Yield (combo, mask & (mask - d) over d in combo) for the k-subsets
-        combo of shifts, in order, whose intersection keeps needed elements."""
-        for combo in itertools.combinations(shifts, k):
+    def meets(self, mask: int, combos, needed: int):
+        """Yield (combo, mask & (mask - d) over d in combo) for the shift
+        tuples combo, in order, whose intersection keeps needed elements."""
+        for combo in combos:
             inter = mask
             for d in combo:
                 inter &= self.minus(mask, d)

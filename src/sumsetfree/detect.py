@@ -29,15 +29,22 @@ repeats too few differences to fit the summand (_valued); on the
 discrete-log sets of construct.zp3_construction the full (2,2,2) scan
 keeps a single level of intersections.
 
+In a product group the subtrees below the members of a shift set's
+translate class {D - x : x in D} are translates of each other, so once
+one is empty the walk skips the later members; only empty subtrees are
+skipped, so order, counts and witnesses do not move, and the (2,2,2)
+scan of the zp3 sets enters half as many subtrees.
+
 Enumeration yields every canonical decomposition exactly once; distinct
 decompositions may share a value set, so the two are counted apart.  The
-kernel, _valued, is one budgeted walk: from each last level it yields
-the decompositions its l_r-subsets complete, first index the offset,
-each paired with its value set, an index bitmask whose largest value is
-its bit length less one.  contains_sumset is the first decomposition it
-yields and enumeration every one; counting and the deletion step of the
-constructions read the value sets.  Only witnesses are built as element
-tuples.
+kernel, _valued, is one budgeted walk: each last level is one C
+iterator of the decompositions its l_r-subsets complete, first index the
+offset, each paired with its value set, an index bitmask whose largest
+value is its bit length less one, and the walk chains the last levels
+together, with no Python code per decomposition.  contains_sumset is the
+first decomposition it yields and enumeration every one; counting and
+the deletion step of the constructions read the value sets.  Only
+witnesses are built as element tuples.
 """
 
 from __future__ import annotations
@@ -47,6 +54,7 @@ import itertools
 import operator
 from collections import Counter
 from dataclasses import dataclass
+from math import comb
 from typing import Iterator, Optional
 
 from .core import (
@@ -86,18 +94,25 @@ def _level_plan(lengths: tuple[int, ...], group: bool) -> tuple[tuple[int, int],
 
 
 def _valued(A: GroundSet, sig: Signature, limit: int | None = None):
-    """The one walk: yield (value set, decomposition) for each canonical
-    decomposition of A, in order, the value set as an index bitmask, the
-    decomposition, (earlier summands, chosen indices), for _witness_maker.
-    Past limit, BudgetExceededError comes before the next value set is
-    built.
+    """The one walk: an iterator of (value set, decomposition), one for each
+    canonical decomposition of A, in order, the value set as an index
+    bitmask, the decomposition, (earlier summands, chosen indices), for
+    _witness_maker.  Past limit, BudgetExceededError comes before the next
+    value set is built.
 
     Each level of the plan draws a summand's shifts from the differences of
     its mask and recurses on the intersection meets keeps; a last level's
     decompositions are the l_r-subsets of its mask, first index the offset.
     They share the earlier summands, so the bitmask of the sums of those is
-    formed once per last level, and translated to each chosen index once;
-    a value set is the OR of the translates of its chosen indices.
+    formed once per last level and translated to every index of the mask,
+    in one list; a value set is the OR of the translates of its chosen
+    indices.  A last level is one C iterator, the value sets (a map over
+    the l_r-subsets of that list) zipped with the decompositions, and the
+    walk hands the last levels up through chain.from_iterable, so no Python
+    code runs per decomposition.  The limit is charged once per last level,
+    C(k, l_r) for a mask of k indices: the level that passes it is cut by
+    islice to what the limit leaves, and the walk raises when asked for the
+    level after it.
 
     A level where meets could find no shift set is skipped whole.  With k
     elements in mask, |mask & (mask - d)| is the number of pairs with
@@ -107,43 +122,72 @@ def _valued(A: GroundSet, sig: Signature, limit: int | None = None):
     number of differences.  Each of the l - 1 distinct shifts of a summand
     needs count(d) >= needed, so when that sum is below (l - 1)(needed - 1)
     no shift set qualifies.
+
+    In a product group, the intersection of the translates of a mask by
+    D - x, for x in D, is the one by D plus x, so the subtree below each
+    member of D's translate class {D - x : x in D} is a translate of D's,
+    and all of them are empty together.  A last level is never empty, since
+    meets keeps l_r of its elements; on the other levels, once a subtree
+    hands up no last level, the later members of its class are dropped
+    from the shift sets before meets intersects them.  Only empty subtrees
+    are skipped, so the order, the counts and the budget errors stay the
+    same.  On an interval every shift is positive, and a class has one
+    canonical member.
     """
     bits = _Bitsets(A.ambient)
-    plan = _level_plan(sig.lengths, bits.digits is not None)
+    group = bits.digits is not None
+    plan = _level_plan(sig.lengths, group)
+    last = sig.lengths[-1]
+    union = functools.partial(functools.reduce, operator.or_)
     count = 0
 
     def levels(mask: int, summands: tuple):
         nonlocal count
         if len(summands) == len(plan):
-            sums, translates = 1, {}
+            indices = _indices(mask)
+            n = comb(len(indices), last)
+            if not n:  # only at the root of a one-summand signature
+                return
+            sums = 1
             for L in summands:
-                sums = functools.reduce(operator.or_, [bits.plus(sums, d) for d in L])
-            for chosen in itertools.combinations(_indices(mask), sig.lengths[-1]):
-                count += 1
-                if limit is not None and count > limit:
-                    raise BudgetExceededError(
-                        f"decomposition enumeration exceeded limit of {limit}"
-                    )
-                values = 0
-                for x in chosen:
-                    if x not in translates:
-                        translates[x] = bits.plus(sums, x)
-                    values |= translates[x]
-                yield values, (summands, chosen)
+                sums = union([bits.plus(sums, d) for d in L])
+            translates = [bits.plus(sums, x) for x in indices]
+            level = zip(
+                map(union, itertools.combinations(translates, last)),
+                zip(itertools.repeat(summands), itertools.combinations(indices, last)),
+            )
+            if limit is not None and count + n > limit:
+                yield itertools.islice(level, max(limit - count, 0))
+                raise BudgetExceededError(
+                    f"decomposition enumeration exceeded limit of {limit}"
+                )
+            count += n
+            yield level
             return
         l, needed = plan[len(summands)]
         shifts = bits.differences(mask)
         k = mask.bit_count()
-        pairs = k * (k - 1) if bits.digits else k * (k - 1) // 2
+        pairs = k * (k - 1) if group else k * (k - 1) // 2
         if pairs - shifts.bit_count() < (l - 1) * (needed - 1):
             return
-        for combo, inter in bits.meets(mask, _indices(shifts), l - 1, needed):
-            yield from levels(inter, summands + ((0,) + combo,))
+        deep = group and len(summands) + 1 < len(plan)  # subtrees that may be empty
+        skip = set()  # the later members of the classes with an empty subtree
+        combos = itertools.filterfalse(
+            skip.__contains__, itertools.combinations(_indices(shifts), l - 1)
+        )
+        for combo, inter in bits.meets(mask, combos, needed):
+            D, before = (0,) + combo, count
+            yield from levels(inter, summands + (D,))
+            if deep and count == before:
+                skip.update(tuple(sorted(bits.diff(x, d) for d in D if d != x)) for x in combo)
 
-    try:
-        yield from levels(A.bitmask, ())
-    except RecursionError:
-        raise BudgetExceededError(_TOO_DEEP.format(len(plan) + 1)) from None
+    def walk():
+        try:
+            yield from levels(A.bitmask, ())
+        except RecursionError:  # one level per summand
+            raise BudgetExceededError(_TOO_DEEP.format(len(plan) + 1)) from None
+
+    return itertools.chain.from_iterable(walk())
 
 
 def _witness_maker(ambient: Ambient):
@@ -253,7 +297,7 @@ def _rooted_levels(bits: _Bitsets, mask: int, root: int, plan, depth: int) -> bo
     else:
         # the shifts a - root as one translate of the other members
         shifts = _indices(bits.minus(others, root))
-    for _, inter in bits.meets(mask, shifts, l - 1, needed):
+    for _, inter in bits.meets(mask, itertools.combinations(shifts, l - 1), needed):
         if last or _rooted_levels(bits, inter, root, plan, depth):
             return True
     return False

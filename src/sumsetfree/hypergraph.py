@@ -14,7 +14,10 @@ indices, in itertools.combinations order: a head of sum s and largest
 index h extends to an edge by every j > h with s + j in A, the set bits
 above h of the index bitset A - s.  Heads far outnumber sums (Z_5^3 at
 r = 3 has 7 626 heads and 125 sums), so A - s is decoded once per sum
-and each head bisects that sorted list past h.  For 2r > N the same
+and each head bisects that sorted list past h.  The heads that share all
+but their last index take their sums as one row, computed in C through
+per-coordinate digit tables, and each head's edges come from one zip.
+For 2r > N the same
 walk lists the (N - r)-subsets with sum in total - A, total the sum of
 the group, and takes their complements, so a head never has more than
 N/2 indices.
@@ -316,20 +319,41 @@ def cayley_hypergraph(
 
 def _sum_subsets(bits, target: int, N: int, k: int) -> list:
     """The k-subsets of the indices 0..N-1 whose sum lies in the bitset
-    target, in lexicographic order.  Each head, an (k-1)-subset of sum s,
+    target, in lexicographic order.  Each head, a (k-1)-subset of sum s,
     extends by every index j above its own with s + j in target, read off
     the indices of the bitset target - s.  Those are decoded once per sum,
-    since heads outnumber sums, and each head bisects past its last index."""
+    since heads outnumber sums, and each head bisects past its last index.
+    The heads that share a prefix, all but their last index, take their
+    sums as one row, the prefix sum plus each later index, added digit by
+    digit in C through per-coordinate tables, and each head's edges come
+    from one zip."""
     if k == 0:
         return [()] if target & 1 else []
+    if k == 1:
+        return [(j,) for j in _indices(target)]
+    # per coordinate: the digit of each index, and the place value of each
+    # sum of two digits
+    tables = [
+        (stride, m, [j // stride % m for j in range(N)], [t % m * stride for t in range(2 * m - 1)])
+        for stride, m, _ in bits.digits
+    ]
     subsets, decoded = [], {}  # decoded: sum s -> the indices of target - s
-    for head in itertools.combinations(range(N - 1), k - 1):
-        s = functools.reduce(bits.add, head[1:], head[0]) if head else 0
-        tails = decoded.get(s)
-        if tails is None:
-            tails = decoded[s] = _indices(bits.minus(target, s))
-        first = bisect_right(tails, head[-1]) if head else 0
-        subsets += [head + (j,) for j in tails[first:]]
+    for prefix in itertools.combinations(range(N - 2), k - 2):
+        p = functools.reduce(bits.add, prefix[1:], prefix[0]) if prefix else 0
+        lo = prefix[-1] + 1 if prefix else 0
+        columns = [
+            map(
+                place.__getitem__,
+                map(operator.add, digits[lo:-1], itertools.repeat(p // stride % m)),
+            )
+            for stride, m, digits, place in tables
+        ]
+        for j, s in zip(range(lo, N - 1), map(sum, zip(*columns))):
+            tails = decoded.get(s)
+            if tails is None:
+                tails = decoded[s] = _indices(bits.minus(target, s))
+            head = prefix + (j,)
+            subsets += zip(*map(itertools.repeat, head), tails[bisect_right(tails, j) :])
     return subsets
 
 

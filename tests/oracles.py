@@ -63,6 +63,12 @@ def cyclic_decompositions(moduli, elems, lengths):
     of those points.  Earlier summands range over every zero-containing
     shift set, rotations included, which is the convention the package
     enumerates.
+
+    The summands are chosen one at a time, pool by pool, in the order of
+    itertools.product over the pools, and the values so far are the sums
+    of x and the summands chosen; every summand contains zero, so those
+    are among the final values, and a choice that puts one outside the
+    set is not extended.
     """
     group = list(itertools.product(*(range(m) for m in moduli)))
     zero = group[0]
@@ -87,15 +93,16 @@ def cyclic_decompositions(moduli, elems, lengths):
                 for c in itertools.combinations(later, lengths[-1] - 1)
             ]
         )
-        for combo in itertools.product(*pools):
-            values = set()
-            for p in itertools.product(*combo):
-                v = x
-                for d in p:
-                    v = add(v, d)
-                values.add(v)
-            if values <= members:
-                out.append((x, tuple(combo)))
+        def extend(values, combo):
+            if len(combo) == len(pools):
+                out.append((x, combo))
+                return
+            for L in pools[len(combo)]:
+                more = {add(v, d) for v in values for d in L}
+                if more <= members:
+                    extend(more, combo + (L,))
+
+        extend({x}, ())
     return out
 
 

@@ -4,7 +4,7 @@ import time
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sumsetfree import (
     BudgetExceededError,
@@ -33,7 +33,7 @@ from sumsetfree import (
 
 from sumsetfree import core
 from sumsetfree.core import _Bitsets
-from sumsetfree.detect import _level_plan, _rooted_check, _valued
+from sumsetfree.detect import _level_plan, _rooted_check, _valued, _witness_maker
 
 from oracles import (
     cube3_sum_relations,
@@ -48,6 +48,8 @@ SIG22 = Signature((2, 2))
 SIG23 = Signature((2, 3))
 SIG33 = Signature((3, 3))
 SIG222 = Signature((2, 2, 2))
+Z66 = CyclicProduct((6, 6))
+Z222 = CyclicProduct((2, 2, 2))
 
 
 def interval_set(elems, n=None):
@@ -91,20 +93,32 @@ def test_enumeration_budget():
     assert len(list(enumerate_sumsets(gs, SIG22, limit=10**6))) > 5
 
 
+def z66_set():
+    """14 random elements of Z_6^2, whose first last level at (2,3) holds
+    35 decompositions."""
+    return GroundSet(Z66, map(Z66.element_at, random.Random(3).sample(range(36), 14)))
+
+
 def test_enumeration_budget_boundary():
     # a limit of k admits all k decompositions; at k - 1 the first k - 1
-    # witnesses come out before the refusal
-    gs = interval_set(list(range(1, 7)))
-    full = list(enumerate_sumsets(gs, SIG22))
-    k = len(full)
-    assert k > 1
-    assert list(enumerate_sumsets(gs, SIG22, limit=k)) == full
-    got = []
-    message = f"^decomposition enumeration exceeded limit of {k - 1}$"
-    with pytest.raises(BudgetExceededError, match=message):
-        for w in enumerate_sumsets(gs, SIG22, limit=k - 1):
-            got.append(w)
-    assert got == full[:-1]
+    # witnesses come out before the refusal, and so do the first ones of a
+    # last level that the limit cuts in the middle
+    for gs, sig in ((interval_set(list(range(1, 7))), SIG22), (z66_set(), SIG23)):
+        full = list(enumerate_sumsets(gs, sig))
+        k = len(full)
+        assert k > 1
+        assert list(enumerate_sumsets(gs, sig, limit=k)) == full
+        # decompositions of one last level share their earlier summands
+        head = full[0].summands[:-1]
+        first = len(list(itertools.takewhile(lambda w: w.summands[:-1] == head, full)))
+        assert first >= 3
+        for limit in (k - 1, first // 2):
+            got = []
+            message = f"^decomposition enumeration exceeded limit of {limit}$"
+            with pytest.raises(BudgetExceededError, match=message):
+                for w in enumerate_sumsets(gs, sig, limit=limit):
+                    got.append(w)
+            assert got == full[:limit], (gs, limit)
 
 
 def test_detector_returns_first_enumerated():
@@ -296,6 +310,24 @@ def test_level_cut_leaves_one_meets_call_on_zp3(monkeypatch, p):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("p, calls", [(11, 469), (13, 826)])
+def test_translate_classes_halve_the_differences_on_zp3(monkeypatch, p, calls):
+    # The first summands {0, d} and {0, -d} are translates, and so are
+    # their subtrees, all empty on the (2,2,2)-free discrete-log set.  The
+    # scan enters one of each pair, so it makes 469 (p = 11) and 826
+    # (p = 13) differences calls, where entering both made 937 and 1651.
+    counted = []
+    differences = _Bitsets.differences
+
+    def counting(self, mask):
+        counted.append(mask)
+        return differences(self, mask)
+
+    monkeypatch.setattr(_Bitsets, "differences", counting)
+    assert contains_sumset(zp3_construction(p), SIG222) is None
+    assert len(counted) == calls
+
+
 def test_enumeration_order_frozen_on_zp3():
     # frozen before the last summand was carried as indices
     first = [
@@ -346,17 +378,23 @@ def test_digit_masks_match_division_formula(moduli):
             assert high[dj] == ((1 << period) - (1 << dj * stride)) * ones
 
 
-def first_in_walk_order(decomps, ambient):
-    """The least oracle decomposition in the walk's documented order: the
-    earlier summands' shifts, then the chosen points, the offset and its
-    translates by the last summand; both orders follow the indices.  None
-    when there is none."""
+def walk_order(ambient):
+    """The sort key of an oracle decomposition in the walk's documented
+    order: the earlier summands' shifts, then the chosen points, the offset
+    and its translates by the last summand; both orders follow the
+    indices."""
 
     def key(decomposition):
         x, summands = decomposition
         return summands[:-1], tuple(elem_add(x, d, ambient) for d in summands[-1])
 
-    return min(decomps, key=key, default=None)
+    return key
+
+
+def first_in_walk_order(decomps, ambient):
+    """The least oracle decomposition in the walk's order, or None when
+    there is none."""
+    return min(decomps, key=walk_order(ambient), default=None)
 
 
 def as_decomposition(witness):
@@ -401,6 +439,41 @@ def test_enumeration_matches_direct_loops_cyclic():
             assert got == want, (moduli, elems, sig.lengths)
             first = first_in_walk_order(want, cp)
             assert as_decomposition(contains_sumset(gs, sig)) == first, (moduli, elems)
+
+
+@st.composite
+def torsion_sets(draw):
+    """A subset of a product with torsion and repeated moduli, where the
+    translate class of a shift set has several members and the subtrees
+    of many are empty."""
+    ambient = CyclicProduct(draw(st.sampled_from([(2, 2, 2, 2), (4, 2), (3, 3, 3), (6, 6)])))
+    picked = draw(st.sets(st.integers(0, ambient.cardinality - 1), max_size=12))
+    return GroundSet(ambient, [ambient.element_at(i) for i in picked])
+
+
+@settings(max_examples=40, deadline=None)
+@given(torsion_sets(), st.sampled_from([(2, 2), (2, 3), (2, 2, 2), (3, 3, 3)]))
+@example(
+    GroundSet(Z66, map(Z66.element_at, [0, 3, 4, 5, 17, 18, 19, 20, 22, 34])), (3, 3, 3)
+)
+def test_walk_matches_oracle_in_order_on_torsion_products(A, lengths):
+    # the walk drops the later members of a translate class once one had an
+    # empty subtree, two members at (2,2,2) and three at (3,3,3); a key that
+    # merged shift sets that are not translates of each other would drop
+    # decompositions the oracle lists.  In the explicit example, 3 of its 10
+    # (3,3,3) decompositions are lost to classing D with the translates of
+    # -D instead of D's own.
+    ambient = A.ambient
+    want = sorted(
+        cyclic_decompositions(ambient.moduli, A.elements, lengths), key=walk_order(ambient)
+    )
+    witness = _witness_maker(ambient)
+    got = [(values, witness(d)) for values, d in _valued(A, Signature(lengths))]
+    assert [(w.offset, w.summands) for _, w in got] == want
+    assert [values for values, _ in got] == [
+        sum(1 << ambient.index(v) for v in vs)
+        for vs in decomposition_value_sets(want, ambient.moduli)
+    ]
 
 
 def test_equal_summand_pair_in_small_group():
@@ -665,6 +738,28 @@ def test_detection_past_the_recursion_limit_is_a_budget_error():
         is_hilbert_cube_free(A, 990)
     with pytest.raises(BudgetExceededError, match="990 summands"):
         next(enumerate_sumsets(A, Signature((2,) * 990)))
+    # every intersection of the whole of Z_2^4 with a translate is all of it
+    group = CyclicProduct((2, 2, 2, 2))
+    walk = _valued(GroundSet(group, group.elements()), Signature((2,) * 990))
+    with pytest.raises(BudgetExceededError, match="990 summands"):
+        next(walk)
+
+
+@pytest.mark.parametrize("A", [interval_set(range(1, 13)), GroundSet(Z222, Z222.elements())])
+def test_recursion_error_while_iterating_the_walk_is_a_budget_error(monkeypatch, A):
+    # the last levels come up through one chained iterator; a RecursionError
+    # in a descent after the first last level, while the consumer iterates,
+    # still surfaces as BudgetExceededError
+    walk = _valued(A, SIG222)
+    next(walk)
+
+    def too_deep(self, mask):
+        raise RecursionError
+
+    monkeypatch.setattr(_Bitsets, "differences", too_deep)
+    with pytest.raises(BudgetExceededError, match="3 summands"):
+        for _ in walk:
+            pass
 
 
 def test_digit_masks_started_afresh_give_the_same_answers(monkeypatch):
